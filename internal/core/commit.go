@@ -14,19 +14,20 @@ import (
 // segment's pending blocks:
 //
 //  1. Write the segment's metadata block with the midupdate flag set,
-//     the new convergent keys installed in the stable slots, and the
-//     previous keys preserved in the transient (reserved) slots.
-//  2. Write the re-encrypted data blocks.
+//     the new convergent keys (and, in a compressed segment, stored
+//     lengths) installed in the stable slots, and the previous keys
+//     preserved in the transient (reserved) slots.
+//  2. Write the encoded data blocks.
 //  3. Write the metadata block again with the flag cleared and the
 //     transient slots zeroed.
 //
-// A batch of m blocks costs m+2 backing I/Os in the paper's per-block
-// engine. With coalescing enabled (the default), adjacent pending
-// slots — which are contiguous on disk within a segment — are merged
-// into runs, each run encrypted into one slab and issued as a single
-// WriteAt, so the batch costs runs+2 backing I/Os instead. Runs split
-// at shard stripe boundaries so each WriteAt lands on exactly one
-// shard and is charged to that shard's slice of the worker pool.
+// Every engine variant is this one pipeline: encode every pending
+// block, merge the sorted slots into disk-contiguous runs, and write
+// each run with a single WriteAt between the two barriers (commitChunk
+// and writeRuns). A raw segment is simply the case where every stored
+// length equals BlockSize. A batch of m blocks costs runs+2 backing
+// I/Os; the paper's per-block engine (Config.DisableCoalescing) caps
+// runs at one block, so it costs exactly the paper's m+2.
 //
 // The transient slots only need to preserve the previous keys of
 // blocks that were live before the commit; a block that was a hole (a
@@ -36,29 +37,28 @@ import (
 // blocks*, not R pending blocks: a purely sequential append buffers a
 // whole segment and commits it with one run — 3 backing I/Os for 118
 // blocks — while overwrites of live data still commit every R writes
-// exactly as the paper prescribes. The per-block engine
-// (Config.DisableCoalescing) keeps the original R-pending policy.
+// exactly as the paper prescribes. The per-block engine keeps the
+// original R-pending policy.
 //
-// The CPU-bound per-block work fans out across the FS worker pool:
-// phase 1's convergent key derivations run in parallel before the
-// phase-1 metadata barrier, and phase 2's encrypt+write tasks run in
-// parallel between the two metadata barriers. The barriers themselves
+// The CPU-bound per-block work — key derivation and encoding — fans
+// out across the FS worker pool before the phase-1 barrier, and the
+// run writes fan out between the two barriers. The barriers themselves
 // — and therefore the §2.4 crash-consistency guarantees — are exactly
 // the serial protocol's: no data block is written before the phase-1
 // metadata write completes, and the phase-3 write begins only after
 // every data block write has returned.
 //
 // Cancellation (API v2): ctx is observed before every backend write —
-// between the phase barriers and between the individual block/run
-// writes of phase 2 — never inside one. A cancellation point is
-// therefore exactly a crash point of the existing sweeps: phase 1
-// canceled leaves the old committed state intact, phase 2 canceled
-// leaves the segment midupdate with a recoverable mix of old and new
-// blocks, and phase 3 canceled leaves a fully-written segment whose
-// marker the next recovery clears. The pending buffers stay staged, so
-// retrying the commit with a live context converges (the midupdate
-// repair at the top of this function plus the already-durable drop
-// below re-commit only what never landed).
+// between the phase barriers and between the individual run writes of
+// phase 2 — never inside one. A cancellation point is therefore
+// exactly a crash point of the existing sweeps: phase 1 canceled
+// leaves the old committed state intact, phase 2 canceled leaves the
+// segment midupdate with a recoverable mix of old and new blocks, and
+// phase 3 canceled leaves a fully-written segment whose marker the
+// next recovery clears. The pending buffers stay staged, so retrying
+// the commit with a live context converges (the midupdate repair at
+// the top of this function plus the already-durable drop below
+// re-commit only what never landed).
 //
 // The caller must hold seg.mu exclusively.
 func (f *file) commitSegment(ctx context.Context, seg *segment, si int64) error {
@@ -99,13 +99,8 @@ func (f *file) commitSegment(ctx context.Context, seg *segment, si int64) error 
 	}
 	sort.Ints(slots)
 
-	// Phase 1: derive the new convergent keys (fanned out — the SHA-256
-	// block hashes dominate the write path, Figure 9), then stage the
-	// old keys of live blocks into the transient slots, install the new
-	// keys, mark midupdate, persist. Hole slots stage nothing: recovery
-	// and the mid-update read path identify old contents by the hash
-	// check, and a keyed block whose data never landed reads back as
-	// the hole it was.
+	// Derive the new convergent keys (fanned out — the SHA-256 block
+	// hashes dominate the write path, Figure 9).
 	newKeys := make([]cryptoutil.Key, len(slots))
 	err := f.fs.pool.run(ctx, len(slots), func(i int) error {
 		k, err := f.fs.deriveKey(seg.pending[slots[i]])
@@ -139,36 +134,34 @@ func (f *file) commitSegment(ctx context.Context, seg *segment, si int64) error 
 			kept++
 		}
 		slots, newKeys = slots[:kept], newKeys[:kept]
-		if kept == 0 {
-			// Everything was already on disk; nothing to commit. The
-			// logical size, if dirty, is persistSize's job.
-			for _, buf := range seg.pending {
-				f.fs.slabs.put(buf)
-			}
-			clear(seg.pending)
-			seg.liveOverwrites = 0
-			return nil
+	}
+
+	// With every block already on disk there is nothing to commit; the
+	// logical size, if dirty, is persistSize's job.
+	if len(slots) > 0 {
+		// A compressed-mode FS flips each raw segment it first commits
+		// into: the flag and freshly initialized length table (live
+		// blocks marked raw-full — the bytes already on disk stay valid)
+		// are persisted by the phase-1 barrier. The reverse flip never
+		// happens, and a compression-off FS keeps maintaining the length
+		// table of a segment some other mount compressed, so the codec
+		// never has to guess.
+		if f.fs.cfg.Compression && !meta.Compressed() {
+			meta.InitCompressed()
 		}
-	}
-
-	// A compressed-mode FS flips each raw segment it first commits into:
-	// the flag and freshly initialized length table (live blocks marked
-	// raw-full — the bytes already on disk stay valid) are persisted by
-	// the phase-1 barrier below. The reverse flip never happens, and a
-	// compression-off FS keeps maintaining the length table of a segment
-	// some other mount compressed, so the codec never has to guess.
-	if f.fs.cfg.Compression && !meta.Compressed() {
-		meta.InitCompressed()
-	}
-
-	var sizeAtCommit int64
-	if meta.Compressed() {
-		sizeAtCommit, err = f.commitCompressed(ctx, seg, si, slots, newKeys)
-	} else {
-		sizeAtCommit, err = f.commitRaw(ctx, seg, si, slots, newKeys)
-	}
-	if err != nil {
-		return err
+		sizeAtCommit, err := f.commitBatch(ctx, seg, si, slots, newKeys)
+		if err != nil {
+			return err
+		}
+		// The final metadata block now carries the size this commit
+		// observed; only mark the size clean if it has not moved since
+		// (a concurrent writer may have extended the file while our
+		// barriers were in flight).
+		f.stateMu.Lock()
+		if f.size == sizeAtCommit && f.isFinalSegmentLocked(si) {
+			f.sizeDirty = false
+		}
+		f.stateMu.Unlock()
 	}
 
 	// The pending buffers came from the slab pool (pendingBlock);
@@ -178,48 +171,116 @@ func (f *file) commitSegment(ctx context.Context, seg *segment, si int64) error 
 	}
 	clear(seg.pending)
 	seg.liveOverwrites = 0
-
-	// The final metadata block now carries the size this commit
-	// observed; only mark the size clean if it has not moved since
-	// (a concurrent writer may have extended the file while our
-	// barriers were in flight).
-	f.stateMu.Lock()
-	if f.size == sizeAtCommit && f.isFinalSegmentLocked(si) {
-		f.sizeDirty = false
-	}
-	f.stateMu.Unlock()
 	return nil
 }
 
-// commitRaw runs phases 1–3 for a raw (uncompressed) segment — the
-// protocol exactly as it stood before compression existed; compressed
-// segments take commitCompressed instead. Returns the logical size the
-// phase-1 barrier persisted. The caller must hold seg.mu exclusively.
-func (f *file) commitRaw(ctx context.Context, seg *segment, si int64, slots []int, newKeys []cryptoutil.Key) (int64, error) {
+// commitBatch encodes the batch and commits it in one or more complete
+// phase 1–3 chunks, returning the logical size the last phase-1
+// barrier persisted.
+//
+// The encode (compress when the segment is compressed, then encrypt)
+// of every block runs BEFORE phase 1: the stored lengths land in the
+// same sealed metadata write that publishes the new keys, so they must
+// exist up front. That is pure CPU work with no backend I/O, so no
+// data byte is written before the phase-1 barrier completes.
+//
+// A compressed segment's length table costs layout.LenSlots() of the R
+// reserved slots, so one phase can stage at most EffReserved() live
+// overwrites. This FS's own write triggers bound batches accordingly
+// when compression is on, but a compression-off FS writing into a
+// segment some other mount compressed can legally arrive with up to R
+// — the batch is partitioned into consecutive chunks, each its own
+// complete phase 1–3 commit. A crash between chunks leaves earlier
+// chunks fully committed and later ones never started: exactly the
+// state a crash between two independent commits leaves. A raw segment
+// always commits in one chunk.
+func (f *file) commitBatch(ctx context.Context, seg *segment, si int64, slots []int, newKeys []cryptoutil.Key) (int64, error) {
 	meta := seg.meta
-	keysPerSeg := int64(f.fs.geo.KeysPerSegment())
-	// The overwrite-bounded batching policy must leave enough transient
-	// slots for every live block this commit replaces; a violation is a
-	// bug in the trigger accounting, caught here before any state
-	// changes.
-	overwrites := 0
-	for _, s := range slots {
-		if !meta.StableKey(s).IsZero() {
-			overwrites++
+	if !meta.Compressed() {
+		// The overwrite-bounded batching policy must leave enough
+		// transient slots for every live block this commit replaces; a
+		// violation is a bug in the trigger accounting, caught here
+		// before any state changes.
+		overwrites := 0
+		for _, s := range slots {
+			if !meta.StableKey(s).IsZero() {
+				overwrites++
+			}
+		}
+		if overwrites > f.fs.geo.Reserved {
+			return 0, fmt.Errorf("lamassu: internal error: %d live blocks overwritten exceed R=%d in segment %d",
+				overwrites, f.fs.geo.Reserved, si)
 		}
 	}
-	if overwrites > f.fs.geo.Reserved {
-		return 0, fmt.Errorf("lamassu: internal error: %d live blocks overwritten exceed R=%d in segment %d",
-			overwrites, f.fs.geo.Reserved, si)
+
+	// Each block's stored form lands at the front of its own
+	// BlockSize-strided slot of one slab, lens[i] bytes long.
+	bs := f.fs.geo.BlockSize
+	cts := f.fs.slabs.get(len(slots) * bs)
+	defer f.fs.slabs.put(cts)
+	lens := make([]int, len(slots))
+	err := f.fs.pool.run(ctx, len(slots), func(i int) error {
+		n, err := f.fs.encode(cts[i*bs:(i+1)*bs], seg.pending[slots[i]], newKeys[i], meta.Compressed())
+		if err != nil {
+			return fmt.Errorf("lamassu: encoding segment %d slot %d: %w", si, slots[i], err)
+		}
+		lens[i] = n
+		return nil
+	})
+	if err != nil {
+		return 0, err
 	}
 
+	rAvail := meta.EffReserved()
+	var sizeAtCommit int64
+	for lo := 0; lo < len(slots); {
+		hi, overwrites := lo, 0
+		for hi < len(slots) {
+			if !meta.StableKey(slots[hi]).IsZero() {
+				if overwrites == rAvail {
+					break
+				}
+				overwrites++
+			}
+			hi++
+		}
+		sizeAtCommit, err = f.commitChunk(ctx, seg, si,
+			slots[lo:hi], newKeys[lo:hi], lens[lo:hi], cts[lo*bs:hi*bs])
+		if err != nil {
+			return 0, err
+		}
+		lo = hi
+	}
+	return sizeAtCommit, nil
+}
+
+// commitChunk runs one complete phase 1–3 commit for a chunk whose live
+// overwrites fit the segment's transient capacity. cts holds the
+// chunk's encoded blocks, one BlockSize-strided slot each, with
+// lens[i] valid payload bytes at the front.
+func (f *file) commitChunk(ctx context.Context, seg *segment, si int64, slots []int, newKeys []cryptoutil.Key, lens []int, cts []byte) (int64, error) {
+	meta := seg.meta
+	keysPerSeg := int64(f.fs.geo.KeysPerSegment())
+
+	// Phase 1: stage the old key of each live block into a transient
+	// slot (paired, in a compressed segment, with its old stored
+	// length), install the new keys and lengths, mark midupdate,
+	// persist. Hole slots stage nothing: recovery and the mid-update
+	// read path identify old contents by the hash check, and a keyed
+	// block whose data never landed reads back as the hole it was. The
+	// length pairing is load-bearing: recovery decodes an old-contents
+	// candidate with transient key r at OldLen(r) — a key without its
+	// length could not be decoded at all.
 	ti := 0
 	for i, s := range slots {
 		if old := meta.StableKey(s); !old.IsZero() {
 			meta.SetTransientKey(ti, old)
+			if meta.Compressed() {
+				meta.SetOldLen(ti, uint8(meta.StoredLen(s)))
+			}
 			ti++
 		}
-		meta.SetStableKey(s, newKeys[i])
+		setStable(meta, s, newKeys[i], lens[i])
 	}
 	meta.NTransient = uint32(ti)
 	meta.SetMidUpdate(true)
@@ -245,17 +306,7 @@ func (f *file) commitRaw(ctx context.Context, seg *segment, si int64, slots []in
 		}
 		f.fs.cache.invalidateDataBlocks(f.name, dbis)
 	}
-
-	// Phase 2: encrypt and write the data blocks between the two
-	// metadata barriers.
-	var err error
-	if f.fs.cfg.DisableCoalescing {
-		err = f.commitBlocks(ctx, seg, si, slots, newKeys)
-	} else {
-		err = f.commitCoalesced(ctx, seg, si, slots, newKeys)
-	}
-	// Second half of the invalidation bracket around phase 2, on the
-	// success and error paths alike.
+	err := f.writeRuns(ctx, si, slots, lens, cts)
 	if f.fs.cache != nil {
 		f.fs.cache.invalidateDataBlocks(f.name, dbis)
 	}
@@ -263,7 +314,33 @@ func (f *file) commitRaw(ctx context.Context, seg *segment, si int64, slots []in
 		return 0, err
 	}
 
-	// Phase 3: clear the update marker.
+	// A raw full-slot write of the batch's last block would have
+	// extended the backing file to the end of that slot; a short
+	// stored payload does not. Pad the physical extent up to the slot
+	// boundary so the fixed-slot addressing — and every phys-bound
+	// guard in recovery, audit and rekey — holds identically with
+	// compression. Ordering matters: the pad lands before the phase-3
+	// barrier, so a cleanly committed segment never has a keyed slot
+	// beyond the physical extent.
+	if bs := f.fs.geo.BlockSize; lens[len(lens)-1] < bs {
+		end := f.fs.geo.DataBlockOffset(si*keysPerSeg+int64(slots[len(slots)-1])) + int64(bs)
+		phys, err := f.bf.Size()
+		if err != nil {
+			return 0, err
+		}
+		if phys < end {
+			t := f.fs.cfg.Recorder.Start()
+			err := backend.TruncateCtx(ctx, f.bf, end)
+			f.fs.cfg.Recorder.Stop(metrics.IO, t)
+			if err != nil {
+				return 0, fmt.Errorf("lamassu: commit phase 2 (segment %d extent pad): %w", si, err)
+			}
+		}
+	}
+
+	// Phase 3: clear the update marker. ClearTransient preserves the
+	// stable length table in compressed mode and zeroes the old
+	// lengths alongside the transient keys.
 	meta.SetMidUpdate(false)
 	meta.ClearTransient()
 	if err := f.fs.writeMeta(ctx, f.bf, f.name, meta); err != nil {
@@ -276,136 +353,46 @@ func (f *file) commitRaw(ctx context.Context, seg *segment, si int64, slots []in
 	return sizeAtCommit, nil
 }
 
-// commitBlocks is the paper's per-block phase 2: each pending block is
-// encrypted and written with its own backend WriteAt, fanned out
-// across the pool. Each task owns a disjoint slice of one ciphertext
-// slab; with a serial pool the tasks run back to back, so a single
-// block of scratch is reused instead (the backend is required to
-// support concurrent WriteAt — os files and the memory store do).
-// Over a sharded store each task is charged to the budget of the
-// shard that owns its block, so commits into one hot shard queue on
-// that shard's slice of the pool instead of starving the others.
-func (f *file) commitBlocks(ctx context.Context, seg *segment, si int64, slots []int, newKeys []cryptoutil.Key) error {
-	keysPerSeg := int64(f.fs.geo.KeysPerSegment())
-	bs := f.fs.geo.BlockSize
-	ctSlab := bs
-	if f.fs.pool.Width() > 1 {
-		ctSlab = len(slots) * bs
-	}
-	cts := f.fs.slabs.get(ctSlab)
-	defer f.fs.slabs.put(cts)
-	writeBlock := func(i int) error {
-		s := slots[i]
-		ct := cts[:bs]
-		if ctSlab > bs {
-			ct = cts[i*bs : (i+1)*bs]
-		}
-		if err := f.fs.encryptBlock(ct, seg.pending[s], newKeys[i]); err != nil {
-			return err
-		}
-		dbi := si*keysPerSeg + int64(s)
-		// The window slot brackets the backend call only; the task may
-		// already hold a pool slot (see ioWindow's deadlock note).
-		f.fs.iow.acquire()
-		t := f.fs.cfg.Recorder.Start()
-		_, werr := backend.WriteAtCtx(ctx, f.bf, ct, f.fs.geo.DataBlockOffset(dbi))
-		f.fs.cfg.Recorder.Stop(metrics.IO, t)
-		f.fs.iow.release()
-		f.fs.cfg.Recorder.CountIOBytes(int64(bs))
-		f.fs.cfg.Recorder.CountDataBytes(int64(bs), int64(bs))
-		if werr != nil {
-			return fmt.Errorf("lamassu: commit phase 2 (block %d): %w", dbi, werr)
-		}
-		return nil
-	}
-	if f.fs.sharded != nil {
-		return f.fs.pool.runSharded(ctx, len(slots), func(i int) int {
-			return f.fs.shardOfBlock(f.name, si*keysPerSeg+int64(slots[i]))
-		}, writeBlock)
-	}
-	return f.fs.pool.run(ctx, len(slots), writeBlock)
-}
-
-// ioRun is one coalesced backend I/O: the half-open index range
-// [lo, hi) into the caller's sorted slot (or span) list whose blocks
-// are contiguous on disk, and the backing offset of the first block.
-type ioRun struct {
-	lo, hi int
-	off    int64
-}
-
-// mergeRuns merges items 0..n-1 into disk-contiguous runs: item i
-// extends the current run when adjacent(i) reports it is the block
-// immediately after item i-1 on disk AND no stripe boundary falls
-// between the two (stripe <= 0 disables the stripe rule; stripes are
-// block-aligned, so contiguous blocks can only change shards at a
-// stripe edge). off(i) is item i's backing offset. The commit and
-// read paths share this so their split semantics cannot diverge.
-func mergeRuns(n int, blockSize, stripe int64, off func(int) int64, adjacent func(int) bool) []ioRun {
-	runs := make([]ioRun, 0, 4)
-	for i := 0; i < n; i++ {
-		o := off(i)
-		if i > 0 && adjacent(i) && (stripe <= 0 || (o-blockSize)/stripe == o/stripe) {
-			runs[len(runs)-1].hi = i + 1
-			continue
-		}
-		runs = append(runs, ioRun{lo: i, hi: i + 1, off: o})
-	}
-	return runs
-}
-
-// stripeBytes returns the sharded store's stripe unit, or 0 when the
-// store is unsharded (no stripe rule).
-func (f *file) stripeBytes() int64 {
-	if f.fs.sharded != nil {
-		return f.fs.sharded.StripeBytes()
-	}
-	return 0
-}
-
-// commitRuns merges the sorted pending slots into disk-contiguous
-// runs: within a segment, consecutive slots are consecutive blocks on
-// disk, and runs split at shard stripe boundaries so the single
-// WriteAt each becomes lands on exactly one shard.
-func (f *file) commitRuns(si int64, slots []int) []ioRun {
+// writeRuns is phase 2: the chunk's sorted slots merge into
+// disk-contiguous runs, each written with a single backend WriteAt.
+// Within a segment consecutive slots are consecutive blocks on disk,
+// and a run extends only while the PREVIOUS block is stored full-slot:
+// that makes the merged payload contiguous both in the encoded slab
+// and on disk, so a run of k blocks is one WriteAt of
+// (k-1)*BlockSize + lens[last] bytes — a short final block still
+// coalesces, trimming the tail of the write. A short block in the
+// middle ends its run (the slack after its payload is not ours to
+// write; the next block starts a new WriteAt at its own slot). Runs
+// also split at shard stripe boundaries, so each WriteAt lands on
+// exactly one shard.
+//
+// The write fan-out unit is the run. With an I/O window configured,
+// the run writes — pure backend I/O, the encode already fanned out —
+// dispatch on the window itself instead of the worker pool, so the
+// number of WriteAts on the wire tracks the link's depth rather than
+// the CPU budget; otherwise over a sharded store each run is charged
+// to the budget of the one shard it lands on, so commits into one hot
+// shard queue on that shard's slice of the pool instead of starving
+// the others. The failure of the lowest run wins, deterministically.
+func (f *file) writeRuns(ctx context.Context, si int64, slots []int, lens []int, cts []byte) error {
 	geo := f.fs.geo
+	bs := geo.BlockSize
 	keysPerSeg := int64(geo.KeysPerSegment())
-	return mergeRuns(len(slots), int64(geo.BlockSize), f.stripeBytes(),
+	runs := f.mergeRuns(len(slots),
 		func(i int) int64 { return geo.DataBlockOffset(si*keysPerSeg + int64(slots[i])) },
-		func(i int) bool { return slots[i] == slots[i-1]+1 })
-}
-
-// commitCoalesced is the coalescing phase 2: pending blocks are
-// encrypted into one slab with the per-block work fanned across the
-// pool (phase 2a — a full-segment run must not serialize ~half a
-// megabyte of AES on one goroutine), then merged into disk-contiguous
-// runs, each written with a single backend WriteAt (phase 2b). The
-// write fan-out unit is the run; over a sharded store each run is
-// charged to the budget of the one shard it lands on. Error semantics
-// match the per-block engine: the failure of the lowest index wins,
-// deterministically.
-func (f *file) commitCoalesced(ctx context.Context, seg *segment, si int64, slots []int, newKeys []cryptoutil.Key) error {
-	keysPerSeg := int64(f.fs.geo.KeysPerSegment())
-	bs := f.fs.geo.BlockSize
-	runs := f.commitRuns(si, slots)
-	cts := f.fs.slabs.get(len(slots) * bs)
-	defer f.fs.slabs.put(cts)
-	err := f.fs.pool.run(ctx, len(slots), func(i int) error {
-		return f.fs.encryptBlock(cts[i*bs:(i+1)*bs], seg.pending[slots[i]], newKeys[i])
-	})
-	if err != nil {
-		return err
-	}
+		func(i int) bool { return slots[i] == slots[i-1]+1 && lens[i-1] == bs })
 	writeRun := func(r int) error {
 		run := runs[r]
-		payload := cts[run.lo*bs : run.hi*bs]
+		payload := cts[run.lo*bs : (run.hi-1)*bs+lens[run.hi-1]]
+		// The window slot brackets the backend call only; the task may
+		// already hold a pool slot (see ioWindow's deadlock note).
 		f.fs.iow.acquire()
 		t := f.fs.cfg.Recorder.Start()
 		_, werr := backend.WriteAtCtx(ctx, f.bf, payload, run.off)
 		f.fs.cfg.Recorder.Stop(metrics.IO, t)
 		f.fs.iow.release()
 		f.fs.cfg.Recorder.CountIOBytes(int64(len(payload)))
-		f.fs.cfg.Recorder.CountDataBytes(int64(len(payload)), int64(len(payload)))
+		f.fs.cfg.Recorder.CountDataBytes(int64((run.hi-run.lo)*bs), int64(len(payload)))
 		f.fs.cfg.Recorder.CountEvent(metrics.WriteRun, 1)
 		if werr != nil {
 			dbi := si*keysPerSeg + int64(slots[run.lo])
@@ -414,22 +401,56 @@ func (f *file) commitCoalesced(ctx context.Context, seg *segment, si int64, slot
 		}
 		return nil
 	}
-	// With an I/O window configured, the run writes — pure backend I/O,
-	// the encryption already fanned out above — dispatch on the window
-	// itself instead of the worker pool, so the number of WriteAts on
-	// the wire tracks the link's depth rather than the CPU budget. The
-	// §2.4 semantics are untouched: phase 2b still completes in full
-	// before the phase-3 barrier, and the lowest failing run wins.
-	if f.fs.iow != nil {
-		_, err := f.fs.runWindowed(ctx, len(runs), writeRun)
-		return err
+	adm, shardOf := admitGlobal, (func(int) int)(nil)
+	switch {
+	case f.fs.iow != nil:
+		adm = admitNone
+	case f.fs.sharded != nil:
+		adm = admitShard
+		shardOf = func(r int) int { return f.fs.sharded.ShardOf(f.name, runs[r].off) }
 	}
+	_, err := f.fs.pool.fanOut(ctx, len(runs), adm, shardOf, writeRun)
+	return err
+}
+
+// ioRun is one backend I/O: the half-open index range [lo, hi) into
+// the caller's sorted slot (or span) list whose blocks are contiguous
+// on disk, and the backing offset of the first block.
+type ioRun struct {
+	lo, hi int
+	off    int64
+}
+
+// mergeRuns merges items 0..n-1 into disk-contiguous runs: item i
+// extends the current run when adjacent(i) reports it is the block
+// immediately after item i-1 on disk, no shard stripe boundary falls
+// between the two (stripes are block-aligned, so contiguous blocks can
+// only change shards at a stripe edge), and the run is shorter than
+// maxRun. off(i) is item i's backing offset. maxRun is 1 in the
+// paper's per-block engine (Config.DisableCoalescing) — one backend
+// call per block — and unbounded otherwise. The commit and read paths
+// share this so their split semantics cannot diverge.
+func (f *file) mergeRuns(n int, off func(int) int64, adjacent func(int) bool) []ioRun {
+	maxRun := n
+	if f.fs.cfg.DisableCoalescing {
+		maxRun = 1
+	}
+	var stripe int64
 	if f.fs.sharded != nil {
-		return f.fs.pool.runSharded(ctx, len(runs), func(r int) int {
-			return f.fs.sharded.ShardOf(f.name, runs[r].off)
-		}, writeRun)
+		stripe = f.fs.sharded.StripeBytes()
 	}
-	return f.fs.pool.run(ctx, len(runs), writeRun)
+	bs := int64(f.fs.geo.BlockSize)
+	runs := make([]ioRun, 0, 4)
+	for i := 0; i < n; i++ {
+		o := off(i)
+		if i > 0 && i-runs[len(runs)-1].lo < maxRun && adjacent(i) &&
+			(stripe <= 0 || (o-bs)/stripe == o/stripe) {
+			runs[len(runs)-1].hi = i + 1
+			continue
+		}
+		runs = append(runs, ioRun{lo: i, hi: i + 1, off: o})
+	}
+	return runs
 }
 
 // isFinalSegmentLocked reports whether si is the file's final segment
@@ -490,7 +511,7 @@ func (f *file) persistSize(ctx context.Context) error {
 			return err
 		}
 		f.segs = make(map[int64]*segment)
-		// Explicit nil guard, as in commitSegment's bracket.
+		// Explicit nil guard, as in commitChunk's bracket.
 		if f.fs.cache != nil {
 			f.fs.cache.invalidateFile(f.name)
 		}

@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"fmt"
 	"math/rand"
+	"strings"
+	"sync"
 	"testing"
 
 	"lamassu/internal/backend"
@@ -335,5 +338,131 @@ func TestCompressionRekey(t *testing.T) {
 	got, err = vfs.ReadAll(newFS(t, store, rawCfg), "f")
 	if err != nil || !bytes.Equal(got, data) {
 		t.Fatalf("read after raw-mode full rekey: %v", err)
+	}
+}
+
+// traceStore records every data-plane backend operation of the files
+// it opens, in the order they are issued: "W off len", "R off len"
+// and "T size".
+type traceStore struct {
+	backend.Store
+	mu  sync.Mutex
+	ops []string
+}
+
+func (s *traceStore) note(format string, args ...any) {
+	s.mu.Lock()
+	s.ops = append(s.ops, fmt.Sprintf(format, args...))
+	s.mu.Unlock()
+}
+
+func (s *traceStore) Open(name string, flag backend.OpenFlag) (backend.File, error) {
+	f, err := s.Store.Open(name, flag)
+	if err != nil {
+		return nil, err
+	}
+	return &traceFile{File: f, s: s}, nil
+}
+
+type traceFile struct {
+	backend.File
+	s *traceStore
+}
+
+func (f *traceFile) ReadAt(p []byte, off int64) (int, error) {
+	f.s.note("R %d %d", off, len(p))
+	return f.File.ReadAt(p, off)
+}
+
+func (f *traceFile) WriteAt(p []byte, off int64) (int, error) {
+	f.s.note("W %d %d", off, len(p))
+	return f.File.WriteAt(p, off)
+}
+
+func (f *traceFile) Truncate(size int64) error {
+	f.s.note("T %d", size)
+	return f.File.Truncate(size)
+}
+
+// TestEngineIOShapeGolden pins, for each of the four engine variants,
+// the exact sequence of backend operations a fixed workload issues
+// (offsets and lengths of every read, write and truncate) and the
+// data-block bytes it leaves behind. The workload covers a fresh
+// multi-segment write, a compressible overwrite batch, a truncate into
+// a partial block and a full read-back, serially (Parallelism 1), so
+// the trace is deterministic. Any refactor of the commit or read path
+// must leave both hashes unchanged: the I/O shape is the paper's §2.4
+// cost model (m+2 per batch per-block, runs+2 coalesced), and the
+// bytes are the on-disk format.
+func TestEngineIOShapeGolden(t *testing.T) {
+	cases := []struct {
+		name                string
+		perBlock, compress  bool
+		ops                 int
+		traceHash, dataHash string
+	}{
+		{"coalesced", false, false, 127,
+			"241b602462a601dea045030a7cb40eef36e84cb576d9a4d295724892cf4b66fe",
+			"c9101c99c0a3b957970d4dae017b47db8a5707ef22de0378d9d56c1109b37880"},
+		{"per-block", true, false, 564,
+			"0e5e23c68191f21c0d16573bacda40a6377589b407c31ec75053961d64469d2f",
+			"c9101c99c0a3b957970d4dae017b47db8a5707ef22de0378d9d56c1109b37880"},
+		{"coalesced-compress", false, true, 395,
+			"a5fa2b47208f5c247cbd1b10e29b469f3750862d5d2746bd16908523e0f97b60",
+			"2cf452e2b9bcc15bf2e809dd16d2f0a2ad7f168422ec5a11301e2240516186ea"},
+		{"per-block-compress", true, true, 668,
+			"7b9c2edf02608d16e03700ff2f622594fae23e4ff0eecea9541df1536f65e8b4",
+			"2cf452e2b9bcc15bf2e809dd16d2f0a2ad7f168422ec5a11301e2240516186ea"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			store := &traceStore{Store: backend.NewMemStore()}
+			cfg := testConfig()
+			cfg.Parallelism = 1
+			cfg.DisableCoalescing = tc.perBlock
+			cfg.Compression = tc.compress
+			lfs := newFS(t, store, cfg)
+			data := compressibleBytes(5, 200*4096+1234, 0.4)
+			if err := vfs.WriteAll(lfs, "f", data); err != nil {
+				t.Fatal(err)
+			}
+			f, err := lfs.OpenRW("f")
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := writeWorkload(f, data, 7, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			const cut = 150*4096 + 77
+			if err := f.Truncate(cut); err != nil {
+				t.Fatal(err)
+			}
+			if err := f.Close(); err != nil {
+				t.Fatal(err)
+			}
+			got, err := vfs.ReadAll(lfs, "f")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want[:cut]) {
+				t.Fatal("read-back differs from the workload's content")
+			}
+			store.mu.Lock()
+			trace := strings.Join(store.ops, "\n")
+			nops := len(store.ops)
+			store.mu.Unlock()
+			raw, err := backend.ReadFile(store.Store, "f")
+			if err != nil {
+				t.Fatal(err)
+			}
+			th := sha256.Sum256([]byte(trace))
+			dh := sha256.Sum256(maskMetaBlocks(raw))
+			gotTrace, gotData := hex.EncodeToString(th[:]), hex.EncodeToString(dh[:])
+			if nops != tc.ops || gotTrace != tc.traceHash || gotData != tc.dataHash {
+				t.Fatalf("I/O shape drifted:\n  ops   %d, want %d\n  trace %s\n  want  %s\n  data  %s\n  want  %s",
+					nops, tc.ops, gotTrace, tc.traceHash, gotData, tc.dataHash)
+			}
+		})
 	}
 }

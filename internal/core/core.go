@@ -14,12 +14,15 @@
 //     IV for data; AES-256-GCM under Kout with random nonces for the
 //     embedded metadata blocks.
 //   - The multiphase commit protocol with R-slot write batching
-//     (§2.4) in commit.go: m+2 backing I/Os per batch of m block
-//     writes in the paper's per-block engine, runs+2 under the
-//     default I/O coalescing layer, which merges disk-adjacent blocks
-//     into single backend calls on both the commit and read paths
-//     (see commitSegment and readSpansCoalesced) and bounds batching
-//     by the R transient slots only live overwrites consume.
+//     (§2.4) in commit.go, as one pipeline for every engine variant:
+//     encode (compress.go) → extent list → merge runs → dispatch.
+//     Disk-adjacent blocks merge into single backend calls on both
+//     the commit and read paths (commitSegment, readSpans), so a batch
+//     costs runs+2 backing I/Os and batching is bounded by the R
+//     transient slots only live overwrites consume; the paper's
+//     per-block engine is the same pipeline with runs capped at one
+//     block, m+2 I/Os per batch of m block writes. Every fan-out runs
+//     through one dispatcher (pool.go's fanOut).
 //   - Crash recovery and integrity auditing (§2.4–2.5) in recover.go.
 //   - Key rotation (§2.2) — both full re-keying and the fast partial
 //     outer-key-only re-key — in rekey.go.
@@ -324,15 +327,6 @@ func (fs *FS) RefreshShardBudgets() {
 // reads even if a copy is later found to have raced a writer.
 func (fs *FS) InvalidateFile(name string) { fs.cache.invalidateFile(name) }
 
-// shardOfBlock returns the shard owning logical data block dbi of the
-// named backing file, or 0 when the store is not sharded.
-func (fs *FS) shardOfBlock(name string, dbi int64) int {
-	if fs.sharded == nil {
-		return 0
-	}
-	return fs.sharded.ShardOf(name, fs.geo.DataBlockOffset(dbi))
-}
-
 // Create implements vfs.FS.
 func (fs *FS) Create(name string) (vfs.File, error) { return fs.CreateCtx(nil, name) }
 
@@ -527,79 +521,12 @@ func (fs *FS) deriveKey(block []byte) (cryptoutil.Key, error) {
 	return fs.ced.DeriveForBlock(block), nil
 }
 
-// encryptBlock convergently encrypts a full plaintext block.
-func (fs *FS) encryptBlock(dst, src []byte, key cryptoutil.Key) error {
-	t := fs.cfg.Recorder.Start()
-	err := cryptoutil.EncryptBlockCBC(dst, src, key)
-	fs.cfg.Recorder.Stop(metrics.Encrypt, t)
-	return err
-}
-
-// decryptBlock inverts encryptBlock.
+// decryptBlock inverts the CBC stage of encode.
 func (fs *FS) decryptBlock(dst, src []byte, key cryptoutil.Key) error {
 	t := fs.cfg.Recorder.Start()
 	err := cryptoutil.DecryptBlockCBC(dst, src, key)
 	fs.cfg.Recorder.Stop(metrics.Decrypt, t)
 	return err
-}
-
-// encodeStored encodes one plaintext block for a compressed-mode
-// segment: it deterministically compresses src, zero-pads the framed
-// result to a layout.LenUnit granule and convergently encrypts it
-// into a prefix of dst, returning the stored byte count (a positive
-// multiple of LenUnit, at most one block). The key is derived from
-// the RAW plaintext, so identical plaintext still yields identical
-// ciphertext — dedup survives the stage. When src does not shrink by
-// at least one granule the raw escape stores the full block verbatim;
-// dst then holds exactly the bytes a raw engine would have written.
-func (fs *FS) encodeStored(dst, src []byte, key cryptoutil.Key) (int, error) {
-	bs := fs.geo.BlockSize
-	scratch := fs.slabs.get(bs)
-	defer fs.slabs.put(scratch)
-	t := fs.cfg.Recorder.Start()
-	n, ok := cryptoutil.CompressBlock(scratch[:bs-layout.LenUnit], src)
-	fs.cfg.Recorder.Stop(metrics.Encrypt, t)
-	if !ok {
-		fs.cfg.Recorder.CountEvent(metrics.RawEscape, 1)
-		if err := fs.encryptBlock(dst[:bs], src, key); err != nil {
-			return 0, err
-		}
-		return bs, nil
-	}
-	stored := (n + layout.LenUnit - 1) / layout.LenUnit * layout.LenUnit
-	for i := n; i < stored; i++ {
-		scratch[i] = 0
-	}
-	if err := fs.encryptBlock(dst[:stored], scratch[:stored], key); err != nil {
-		return 0, err
-	}
-	fs.cfg.Recorder.CountEvent(metrics.BlockCompressed, 1)
-	return stored, nil
-}
-
-// decodeStored decrypts and, for a compressed payload, decompresses
-// one stored payload of storedBytes bytes into the full plaintext
-// block dst. storedBytes == BlockSize means a raw block (identical to
-// the uncompressed engine's decode); anything shorter is a framed
-// compressed prefix. A frame that fails to inflate to exactly one
-// block is corruption and maps to ErrIntegrity.
-func (fs *FS) decodeStored(dst, ct []byte, key cryptoutil.Key, storedBytes int) error {
-	bs := fs.geo.BlockSize
-	if storedBytes == bs {
-		return fs.decryptBlock(dst, ct[:bs], key)
-	}
-	scratch := fs.slabs.get(bs)
-	defer fs.slabs.put(scratch)
-	if err := fs.decryptBlock(scratch[:storedBytes], ct[:storedBytes], key); err != nil {
-		return err
-	}
-	t := fs.cfg.Recorder.Start()
-	err := cryptoutil.DecompressBlock(dst, scratch[:storedBytes])
-	fs.cfg.Recorder.Stop(metrics.Decrypt, t)
-	if err != nil {
-		return fmt.Errorf("%w: %v", ErrIntegrity, err)
-	}
-	return nil
 }
 
 // verifyBlock re-derives the convergent key from decrypted plaintext

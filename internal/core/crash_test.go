@@ -57,6 +57,23 @@ func writeWorkload(f vfs.File, oldData []byte, seed int64, compressible bool) ([
 	return want, nil
 }
 
+// sweepOldData is the 40 KiB file the crash and cancel sweeps start
+// from. The compressible variant keeps an 8-byte random prefix and
+// varies the phrase per 512-byte block, so the initial commit already
+// stores short extents whose crash states the workload then
+// overwrites.
+func sweepOldData(compressible bool) []byte {
+	oldData := make([]byte, 40*1024)
+	rand.New(rand.NewSource(99)).Read(oldData)
+	if compressible {
+		const phrase = "crash sweep compressible payload "
+		for i := 8; i < len(oldData); i++ {
+			oldData[i] = phrase[i%len(phrase)] ^ byte(i>>9)
+		}
+	}
+	return oldData
+}
+
 // blockHistories replays the workload against a shadow buffer and
 // records, per block, every value the block ever legitimately held
 // (the initial content plus the state after each application write).
@@ -148,14 +165,7 @@ func crashSweepEveryWritePoint(t *testing.T, mk storeMaker, disableCoalescing, c
 	// The compressed sweep starts from compressible old data too, so
 	// the initial commit already stores short extents whose crash
 	// states the workload then overwrites.
-	oldData := make([]byte, 40*1024)
-	rand.New(rand.NewSource(99)).Read(oldData)
-	if compress {
-		const phrase = "crash sweep compressible payload "
-		for i := 8; i < len(oldData); i++ {
-			oldData[i] = phrase[i%len(phrase)] ^ byte(i>>9)
-		}
-	}
+	oldData := sweepOldData(compress)
 
 	countStore := faultfs.New(mk(t))
 	fsCount, err := New(countStore, cfg)

@@ -119,7 +119,7 @@ func (f *cancelFile) SyncCtx(ctx context.Context) error { return backend.SyncCtx
 // writeWorkloadCtx is writeWorkload driven through the context-aware
 // methods; identical offsets/contents per seed, so blockHistories
 // applies unchanged.
-func writeWorkloadCtx(ctx context.Context, f vfs.File, oldData []byte, seed int64) ([]byte, error) {
+func writeWorkloadCtx(ctx context.Context, f vfs.File, oldData []byte, seed int64, compressible bool) ([]byte, error) {
 	want := append([]byte(nil), oldData...)
 	rng := rand.New(rand.NewSource(seed))
 	for i := 0; i < 30; i++ {
@@ -129,7 +129,7 @@ func writeWorkloadCtx(ctx context.Context, f vfs.File, oldData []byte, seed int6
 			n = len(want) - off
 		}
 		chunk := make([]byte, n)
-		rng.Read(chunk)
+		fillChunk(rng, chunk, compressible)
 		if _, err := f.WriteAtCtx(ctx, chunk, int64(off)); err != nil {
 			return want, err
 		}
@@ -165,7 +165,10 @@ func cancelFixture(t *testing.T, geo layout.Geometry, sharded bool, trig *cancel
 // after the 1st, 2nd, 3rd, ... backend write; the failing operation
 // must report ErrCanceled (wrapping context.Canceled), and after
 // recovery every block must hold a state the workload legitimately
-// produced. Swept over both engines, sharded and unsharded.
+// produced. Swept over all four engines, sharded and unsharded; the
+// compressed engines start from the crash sweep's compressible data
+// and write compressible chunks, so short stored extents and the
+// extent pad are canceled mid-flight too.
 func TestCancelMidCommitSweep(t *testing.T) {
 	for _, sharded := range []bool{false, true} {
 		name := "unsharded"
@@ -173,22 +176,23 @@ func TestCancelMidCommitSweep(t *testing.T) {
 			name = "sharded"
 		}
 		t.Run(name, func(t *testing.T) {
-			t.Run("coalesced", func(t *testing.T) { cancelMidCommitSweep(t, sharded, false) })
-			t.Run("per-block", func(t *testing.T) { cancelMidCommitSweep(t, sharded, true) })
+			t.Run("coalesced", func(t *testing.T) { cancelMidCommitSweep(t, sharded, false, false) })
+			t.Run("per-block", func(t *testing.T) { cancelMidCommitSweep(t, sharded, true, false) })
+			t.Run("coalesced-compress", func(t *testing.T) { cancelMidCommitSweep(t, sharded, false, true) })
+			t.Run("per-block-compress", func(t *testing.T) { cancelMidCommitSweep(t, sharded, true, true) })
 		})
 	}
 }
 
-func cancelMidCommitSweep(t *testing.T, sharded, disableCoalescing bool) {
+func cancelMidCommitSweep(t *testing.T, sharded, disableCoalescing, compress bool) {
 	geo, err := layout.NewGeometry(512, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := Config{Inner: testKey(1), Outer: testKey(2), Geometry: geo,
-		DisableCoalescing: disableCoalescing}
+		DisableCoalescing: disableCoalescing, Compression: compress}
 
-	oldData := make([]byte, 40*1024)
-	rand.New(rand.NewSource(99)).Read(oldData)
+	oldData := sweepOldData(compress)
 
 	// Dry run: count the workload's context-aware backend writes.
 	trig := &cancelTrigger{}
@@ -205,7 +209,7 @@ func cancelMidCommitSweep(t *testing.T, sharded, disableCoalescing bool) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := writeWorkloadCtx(context.Background(), f, oldData, 7); err != nil {
+	if _, err := writeWorkloadCtx(context.Background(), f, oldData, 7, compress); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {
@@ -215,7 +219,7 @@ func cancelMidCommitSweep(t *testing.T, sharded, disableCoalescing bool) {
 	if totalWrites < 10 {
 		t.Fatalf("workload issued only %d ctx writes; widen it", totalWrites)
 	}
-	hist := blockHistories(oldData, 7, geo.BlockSize, false)
+	hist := blockHistories(oldData, 7, geo.BlockSize, compress)
 
 	stride := int64(1)
 	if testing.Short() {
@@ -238,7 +242,7 @@ func cancelMidCommitSweep(t *testing.T, sharded, disableCoalescing bool) {
 		if err != nil {
 			t.Fatalf("cancelAt=%d: open: %v", cancelAt, err)
 		}
-		_, werr := writeWorkloadCtx(ctx, fw, oldData, 7)
+		_, werr := writeWorkloadCtx(ctx, fw, oldData, 7, compress)
 		trig.disarm()
 		cancel()
 		if werr == nil {
@@ -322,7 +326,7 @@ func TestCancelRetryConverges(t *testing.T) {
 			}
 			ctx, cancel := context.WithCancel(context.Background())
 			trig.arm(2, cancel) // cancel mid-phase-2
-			_, werr := writeWorkloadCtx(ctx, f, oldData, 11)
+			_, werr := writeWorkloadCtx(ctx, f, oldData, 11, false)
 			trig.disarm()
 			cancel()
 			if werr == nil || !errors.Is(werr, ErrCanceled) {

@@ -155,7 +155,7 @@ func (f *file) Size() (int64, error) {
 // A request covering one block takes an allocation-free fast path (a
 // cache or pending hit completes with no heap traffic at all). A
 // multi-block request is merged into runs of disk-adjacent blocks,
-// each fetched with a single backend read; see readSpansCoalesced.
+// each fetched with a single backend read; see readSpans.
 func (f *file) ReadAt(p []byte, off int64) (int, error) {
 	return f.ReadAtCtx(nil, p, off)
 }
@@ -195,12 +195,12 @@ func (f *file) ReadAtCtx(ctx context.Context, p []byte, off int64) (int, error) 
 		// request decrypts (or cache-copies) straight into p.
 		dbi := off / int64(bs)
 		if bo == 0 && n == bs {
-			if _, err := f.readBlock(ctx, dbi, p[:bs]); err != nil {
+			if err := f.readBlock(ctx, dbi, p[:bs]); err != nil {
 				return 0, err
 			}
 		} else {
 			scratch := f.fs.slabs.get(bs)
-			_, err := f.readBlock(ctx, dbi, scratch)
+			err := f.readBlock(ctx, dbi, scratch)
 			if err == nil {
 				copy(p[:n], scratch[bo:bo+n])
 			}
@@ -209,21 +209,8 @@ func (f *file) ReadAtCtx(ctx context.Context, p []byte, off int64) (int, error) 
 				return 0, err
 			}
 		}
-	} else {
-		spans := vfs.Spans(off, n, bs)
-		var bad int
-		var err error
-		switch {
-		case !f.fs.cfg.DisableCoalescing:
-			bad, err = f.readSpansCoalesced(ctx, p, spans)
-		case f.fs.sharded != nil && len(spans) > 1:
-			bad, err = f.readSpansSharded(ctx, p, spans)
-		default:
-			bad, err = f.readSpansBlocks(ctx, p, spans)
-		}
-		if err != nil {
-			return bad, err
-		}
+	} else if bad, err := f.readSpans(ctx, p, vfs.Spans(off, n, bs)); err != nil {
+		return bad, err
 	}
 	f.noteSequential(off, int64(n), size)
 	if atEOF {
@@ -232,179 +219,78 @@ func (f *file) ReadAtCtx(ctx context.Context, p []byte, off int64) (int, error) 
 	return n, nil
 }
 
-// readSpansBlocks is the per-block multi-span read: one readBlock per
-// span through a single pooled scratch block. On failure it returns
-// the number of leading bytes of p that are valid.
-func (f *file) readSpansBlocks(ctx context.Context, p []byte, spans []vfs.Span) (int, error) {
-	block := f.fs.slabs.get(f.fs.geo.BlockSize)
-	defer f.fs.slabs.put(block)
-	for _, sp := range spans {
-		if _, err := f.readBlock(ctx, sp.Index, block); err != nil {
-			return sp.BufOff, err
-		}
-		copy(p[sp.BufOff:sp.BufOff+sp.Len], block[sp.Start:sp.Start+sp.Len])
-	}
-	return 0, nil
-}
-
-// readSpansSharded fills a multi-block read over a sharded store with
-// coalescing disabled, fetching each shard's spans on its own
-// goroutine so the decrypt and backend I/O of independent shards
-// overlap. It deliberately takes no worker-pool slot: a reader can
-// block on a segment lock held by that segment's commit, and the
-// commit needs pool slots to finish — a reader holding one while it
-// waits would deadlock the pool. The per-shard gauges still record the
-// fan-out.
+// readSpans is the multi-span reader: it merges the spans into runs of
+// disk-adjacent blocks with the commit path's rule (mergeRuns) — split
+// at segment boundaries (the metadata block between two segments
+// breaks disk adjacency), at shard stripe boundaries (so each backend
+// read lands on exactly one shard) and, in the per-block engine, after
+// every block. Each run costs at most one backend read (readRun).
+//
+// Runs are dispatched without pool slots: a reader can block on a
+// segment lock held by that segment's commit, and the commit needs
+// pool slots to finish — a reader holding one while it waits would
+// deadlock the pool. Over a sharded store each shard's runs are
+// fetched in order on their own goroutine, so the decrypt and backend
+// I/O of independent shards overlap; with an I/O window every run of
+// an unsharded store gets its own goroutine, so independent runs of
+// one request overlap on the wire instead of paying one round trip
+// each in sequence (the window slot is taken around the backend read
+// only, so a run blocked on a segment lock or a pool decode slot never
+// holds wire budget); otherwise the runs are read serially.
 //
 // On failure it returns the number of leading bytes of p that are
-// valid (every span of every shard completes or fails in BufOff
-// order) and the failing error.
-func (f *file) readSpansSharded(ctx context.Context, p []byte, spans []vfs.Span) (int, error) {
-	// Group spans by owning shard with one ring lookup per STRIPE:
-	// offsets within a stripe share a shard, and a whole-file-placed
-	// store (stripe <= 0) needs a single lookup for all spans.
-	groups := make(map[int][]vfs.Span)
-	stripe := f.fs.sharded.StripeBytes()
-	shard := 0
-	curStripe := int64(-1)
-	for i, sp := range spans {
-		off := f.fs.geo.DataBlockOffset(sp.Index)
-		switch {
-		case stripe <= 0:
-			if i == 0 {
-				shard = f.fs.sharded.ShardOf(f.name, off)
-			}
-		default:
-			if si := off / stripe; si != curStripe {
-				shard = f.fs.sharded.ShardOf(f.name, off)
-				curStripe = si
-			}
-		}
-		groups[shard] = append(groups[shard], sp)
-	}
-	bs := f.fs.geo.BlockSize
-	readGroup := func(s int, group []vfs.Span) (int, error) {
-		block := f.fs.slabs.get(bs)
-		defer f.fs.slabs.put(block)
-		for _, sp := range group {
-			done := f.fs.pool.noteShardRead(s)
-			cached, err := f.readBlock(ctx, sp.Index, block)
-			done(cached)
-			if err != nil {
-				return sp.BufOff, err
-			}
-			copy(p[sp.BufOff:sp.BufOff+sp.Len], block[sp.Start:sp.Start+sp.Len])
-		}
-		return 0, nil
-	}
-	return shardFanOut(groups, readGroup)
-}
-
-// shardFanOut runs fn for every shard's group, each on its own
-// goroutine (a single group runs inline), and on failure returns the
-// error with the lowest buffer position — the "leading bytes of p are
-// valid" contract of the multi-shard read paths.
-func shardFanOut[G any](groups map[int]G, fn func(s int, g G) (int, error)) (int, error) {
-	if len(groups) == 1 {
-		for s, g := range groups {
-			return fn(s, g)
-		}
-	}
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-		firstBad int
-	)
-	for s, g := range groups {
-		wg.Add(1)
-		go func(s int, g G) {
-			defer wg.Done()
-			if bad, err := fn(s, g); err != nil {
-				mu.Lock()
-				if firstErr == nil || bad < firstBad {
-					firstErr, firstBad = err, bad
-				}
-				mu.Unlock()
-			}
-		}(s, g)
-	}
-	wg.Wait()
-	return firstBad, firstErr
-}
-
-// readSpansCoalesced fills a multi-block read by merging the spans
-// into runs of disk-adjacent blocks — split at segment boundaries
-// (the metadata block between two segments breaks disk adjacency) and
-// at shard stripe boundaries (so each backend read lands on exactly
-// one shard). Each run costs at most one backend read; within a run,
-// pending and cached blocks are served from memory and hole slots
-// read as zeros without touching the backend at all. Over a sharded
-// store the runs of different shards are fetched on their own
-// goroutines, with the same no-pool-slot rule as readSpansSharded.
-//
-// On failure it returns the number of leading valid bytes of p, as
-// readSpansSharded does.
-func (f *file) readSpansCoalesced(ctx context.Context, p []byte, spans []vfs.Span) (int, error) {
+// valid and the failing error: runs are in ascending buffer order, so
+// the lowest failing run carries the lowest failing buffer position.
+func (f *file) readSpans(ctx context.Context, p []byte, spans []vfs.Span) (int, error) {
 	geo := f.fs.geo
-	runs := mergeRuns(len(spans), int64(geo.BlockSize), f.stripeBytes(),
+	runs := f.mergeRuns(len(spans),
 		func(i int) int64 { return geo.DataBlockOffset(spans[i].Index) },
 		func(i int) bool {
 			return spans[i].Index == spans[i-1].Index+1 &&
 				geo.SegmentOfBlock(spans[i].Index) == geo.SegmentOfBlock(spans[i-1].Index)
 		})
-	if f.fs.sharded == nil {
-		// With an I/O window configured, independent runs of one request
-		// overlap on the wire instead of paying one round trip each in
-		// sequence; the window slot is taken inside fetchRun around the
-		// backend read only, so a run blocked on a segment lock or a
-		// pool decode slot never holds wire budget. Error semantics are
-		// preserved: runs are in ascending buffer order, so the lowest
-		// failing run index carries the lowest failing buffer position.
-		if f.fs.iow != nil && len(runs) > 1 {
-			idx, err := f.fs.runWindowed(ctx, len(runs), func(i int) error {
-				r := runs[i]
-				if bad, rerr := f.readRun(ctx, p, spans[r.lo:r.hi], -1); rerr != nil {
-					return &spanError{bad, rerr}
-				}
-				return nil
-			})
-			if err != nil {
-				if se, ok := err.(*spanError); ok {
-					return se.bufOff, se.err
-				}
-				return spans[runs[idx].lo].BufOff, err
-			}
-			return 0, nil
-		}
-		for _, r := range runs {
-			if err := backend.CtxErr(ctx); err != nil {
-				return spans[r.lo].BufOff, err
-			}
-			if bad, err := f.readRun(ctx, p, spans[r.lo:r.hi], -1); err != nil {
-				return bad, err
+	var shards []int
+	lane := func(int) int { return 0 }
+	switch {
+	case f.fs.sharded != nil:
+		// One ring lookup per stripe: offsets within a stripe share a
+		// shard, and a whole-file-placed store (stripe <= 0) needs a
+		// single lookup for all runs.
+		shards = make([]int, len(runs))
+		stripe := f.fs.sharded.StripeBytes()
+		for r, run := range runs {
+			if r > 0 && (stripe <= 0 || runs[r-1].off/stripe == run.off/stripe) {
+				shards[r] = shards[r-1]
+			} else {
+				shards[r] = f.fs.sharded.ShardOf(f.name, run.off)
 			}
 		}
-		return 0, nil
+		lane = func(r int) int { return shards[r] }
+	case f.fs.iow != nil:
+		lane = nil
 	}
-	groups := make(map[int][]ioRun)
-	for _, r := range runs {
-		s := f.fs.sharded.ShardOf(f.name, r.off)
-		groups[s] = append(groups[s], r)
-	}
-	return shardFanOut(groups, func(s int, g []ioRun) (int, error) {
-		for _, r := range g {
-			if bad, err := f.readRun(ctx, p, spans[r.lo:r.hi], s); err != nil {
-				return bad, err
-			}
+	idx, err := f.fs.pool.fanOut(ctx, len(runs), admitNone, lane, func(r int) error {
+		run, shard := runs[r], -1
+		if shards != nil {
+			shard = shards[r]
 		}
-		return 0, nil
+		if bad, err := f.readRun(ctx, p, spans[run.lo:run.hi], shard); err != nil {
+			return &spanError{bad, err}
+		}
+		return nil
 	})
+	if err != nil {
+		if se, ok := err.(*spanError); ok {
+			return se.bufOff, se.err
+		}
+		return spans[runs[idx].lo].BufOff, err
+	}
+	return 0, nil
 }
 
-// spanError carries the buffer position of a failed span through the
-// worker pool, whose lowest-task-index error semantics then yield the
-// lowest failing position deterministically.
+// spanError carries the buffer position of a failed span through
+// fanOut, whose lowest-task-index error semantics then yield the lowest
+// failing position deterministically.
 type spanError struct {
 	bufOff int
 	err    error
@@ -416,9 +302,12 @@ func (e *spanError) Unwrap() error { return e.err }
 // readRun serves one run of disk-adjacent spans within a single
 // segment (and, when sharded, a single stripe owned by shard s; pass
 // s < 0 when unsharded). Pending, cached and hole blocks are filled
-// from memory; the remaining blocks are fetched in contiguous
-// sub-runs, one backend read each, with the per-block decrypt and
-// integrity verification fanned out across the worker pool.
+// from memory; the remaining blocks are fetched in payload-contiguous
+// sub-runs, one backend read each (fetchContig). In a compressed
+// segment the payloads are only contiguous while each block before the
+// last is stored full-slot — a short block leaves dead slack before
+// the next slot — so a sub-run also ends after every short block, the
+// same adjacency rule writeRuns commits under.
 func (f *file) readRun(ctx context.Context, p []byte, spans []vfs.Span, shard int) (int, error) {
 	geo := f.fs.geo
 	bs := geo.BlockSize
@@ -439,11 +328,19 @@ func (f *file) readRun(ctx context.Context, p []byte, spans []vfs.Span, shard in
 	}
 	meta := seg.meta
 	if meta.MidUpdate() {
-		// Crash-recovery state: the per-block path knows how to try
+		// Crash-recovery state: the single-block path knows how to try
 		// the transient keys; coalescing a mid-update segment is not
 		// worth the duplicated logic.
 		seg.mu.RUnlock()
-		return f.readSpansBlocks(ctx, p, spans)
+		block := f.fs.slabs.get(bs)
+		defer f.fs.slabs.put(block)
+		for _, sp := range spans {
+			if err := f.readBlock(ctx, sp.Index, block); err != nil {
+				return sp.BufOff, err
+			}
+			copy(p[sp.BufOff:sp.BufOff+sp.Len], block[sp.Start:sp.Start+sp.Len])
+		}
+		return 0, nil
 	}
 	defer seg.mu.RUnlock()
 
@@ -478,42 +375,15 @@ func (f *file) readRun(ctx context.Context, p []byte, spans []vfs.Span, shard in
 				served = false
 			}
 		}
-		if served {
-			if fetchFrom >= 0 {
-				if bad, err := f.fetchRun(ctx, p, spans[fetchFrom:i], meta, shard); err != nil {
-					return bad, err
-				}
-				fetchFrom = -1
+		if fetchFrom >= 0 && (served || storedBytes(meta, geo.SlotOfBlock(spans[i-1].Index), bs) < bs) {
+			if bad, err := f.fetchContig(ctx, p, spans[fetchFrom:i], meta, shard); err != nil {
+				return bad, err
 			}
-		} else if fetchFrom < 0 {
+			fetchFrom = -1
+		}
+		if !served && fetchFrom < 0 {
 			fetchFrom = i
 		}
-	}
-	return 0, nil
-}
-
-// fetchRun reads one sub-run of uncached, live blocks. For a raw
-// segment the whole run is a single contiguous backend read. For a
-// compressed segment the payloads are only contiguous while each
-// block before the last is stored full-slot — a short block leaves
-// dead slack before the next slot — so the run is partitioned at
-// every short block and each piece fetched contiguously, the same
-// adjacency rule writeStoredRuns commits under.
-func (f *file) fetchRun(ctx context.Context, p []byte, spans []vfs.Span, meta *layout.MetaBlock, shard int) (int, error) {
-	if !meta.Compressed() {
-		return f.fetchContig(ctx, p, spans, meta, shard)
-	}
-	geo := f.fs.geo
-	bs := geo.BlockSize
-	lo := 0
-	for i := 1; i <= len(spans); i++ {
-		if i < len(spans) && storedBytes(meta, geo.SlotOfBlock(spans[i-1].Index), bs) == bs {
-			continue
-		}
-		if bad, err := f.fetchContig(ctx, p, spans[lo:i], meta, shard); err != nil {
-			return bad, err
-		}
-		lo = i
 	}
 	return 0, nil
 }
@@ -552,7 +422,7 @@ func (f *file) fetchContig(ctx context.Context, p []byte, spans []vfs.Span, meta
 	f.fs.cfg.Recorder.CountIOBytes(int64(readLen))
 	f.fs.cfg.Recorder.CountDataBytes(int64(n*bs), int64(readLen))
 	f.fs.cfg.Recorder.CountEvent(metrics.ReadRun, 1)
-	done(false)
+	done()
 	if err != nil {
 		return spans[0].BufOff, fmt.Errorf("lamassu: reading run of %d blocks at block %d: %w",
 			n, spans[0].Index, err)
@@ -648,7 +518,7 @@ func (f *file) noteSequential(off, n, size int64) {
 	go f.prefetch(start, int(cnt))
 }
 
-// prefetch reads blocks [db, db+n) through the coalesced run reader,
+// prefetch reads blocks [db, db+n) through the multi-span reader,
 // populating the block cache as a side effect. It is best-effort:
 // errors are dropped (the foreground read that eventually arrives
 // re-reads and re-verifies), and the handle's operation gate is held
@@ -671,15 +541,13 @@ func (f *file) prefetch(db int64, n int) {
 	// Deliberately detached from any caller context: readahead is
 	// best-effort background work, and the read that armed it has
 	// already returned.
-	_, _ = f.readSpansCoalesced(nil, buf, spans)
+	_, _ = f.readSpans(nil, buf, spans)
 }
 
 // readBlock places the full plaintext of logical data block dbi into
 // dst (len == BlockSize). Pending writes are visible; unwritten
-// (hole) blocks read as zeros. The returned bool reports whether the
-// block was served without backend I/O (pending state or the cache) —
-// the sharded read path keeps such hits out of its fan-out counters.
-func (f *file) readBlock(ctx context.Context, dbi int64, dst []byte) (bool, error) {
+// (hole) blocks read as zeros.
+func (f *file) readBlock(ctx context.Context, dbi int64, dst []byte) error {
 	geo := f.fs.geo
 	si := geo.SegmentOfBlock(dbi)
 	slot := geo.SlotOfBlock(dbi)
@@ -690,7 +558,7 @@ func (f *file) readBlock(ctx context.Context, dbi int64, dst []byte) (bool, erro
 		if plain, ok := seg.pending[slot]; ok {
 			copy(dst, plain)
 			seg.mu.RUnlock()
-			return true, nil
+			return nil
 		}
 		// Probe the cache once per read; the meta-load retry below must
 		// not count a second miss for the same logical lookup.
@@ -698,13 +566,13 @@ func (f *file) readBlock(ctx context.Context, dbi int64, dst []byte) (bool, erro
 			cacheProbed = true
 			if f.fs.cache.getData(f.name, dbi, dst) {
 				seg.mu.RUnlock()
-				return true, nil
+				return nil
 			}
 		}
 		if seg.meta != nil {
 			err := f.readBlockMeta(ctx, seg, dbi, slot, dst)
 			seg.mu.RUnlock()
-			return false, err
+			return err
 		}
 		seg.mu.RUnlock()
 		// The segment's metadata is not loaded yet; load it under the
@@ -714,7 +582,7 @@ func (f *file) readBlock(ctx context.Context, dbi int64, dst []byte) (bool, erro
 		err := f.ensureMeta(ctx, seg, si)
 		seg.mu.Unlock()
 		if err != nil {
-			return false, err
+			return err
 		}
 	}
 }
@@ -1120,10 +988,7 @@ func (f *file) shrink(ctx context.Context, newSize int64) error {
 	lastSlot := geo.SlotOfBlock(newNDB - 1)
 	for s := lastSlot + 1; s < geo.KeysPerSegment(); s++ {
 		if !meta.StableKey(s).IsZero() {
-			meta.SetStableKey(s, cryptoutil.Key{})
-			if meta.Compressed() {
-				meta.SetStoredLen(s, 0)
-			}
+			setStable(meta, s, cryptoutil.Key{}, 0)
 		}
 	}
 	meta.LogicalSize = uint64(newSize)

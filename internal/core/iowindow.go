@@ -1,12 +1,6 @@
 package core
 
-import (
-	"context"
-	"sync"
-	"sync/atomic"
-
-	"lamassu/internal/backend"
-)
+import "sync/atomic"
 
 // ioWindow bounds the number of backend I/O operations an FS keeps in
 // flight at once — the I/O-window pipelining layer for high-latency
@@ -23,10 +17,11 @@ import (
 // Deadlock safety: acquire/release bracket exactly one backend
 // operation and nothing else — a window-slot holder never takes a
 // mutex, a pool slot or another window slot, so slots always drain.
-// The converse order is therefore safe too: a commit task already
-// holding a pool slot may wait for a window slot (commitBlocks does),
-// because every current slot holder is a pure backend call that
-// completes without needing anything the waiter holds.
+// The converse order is therefore safe too: a task already holding a
+// pool slot may wait for a window slot (a phase-2 write charged to a
+// shard budget does), because every current slot holder is a pure
+// backend call that completes without needing anything the waiter
+// holds.
 type ioWindow struct {
 	sem chan struct{}
 	// inFlight gauges the backend operations currently holding a slot;
@@ -92,56 +87,4 @@ func (fs *FS) IOWindowStats() IOWindowStats {
 		InFlight: fs.iow.inFlight.Load(),
 		Peak:     fs.iow.peak.Load(),
 	}
-}
-
-// runWindowed dispatches fn(0) … fn(n-1), each on its own goroutine,
-// and waits for all of them — the fan-out driver for batches whose
-// tasks are (almost) pure backend I/O, where the worker pool's CPU
-// bound would needlessly cap the overlap. Concurrency is bounded by
-// the I/O window itself: each task brackets its backend call with
-// acquire/release, so the dispatcher spawns freely (callers' batches
-// are bounded by one request's runs or one segment's commit) while
-// the wire sees at most Config.IOWindow requests.
-//
-// Error semantics match pool.run: every spawned task runs even if an
-// earlier one fails, the lowest failing index wins, and a dead ctx
-// stops dispatch of tasks not yet spawned, reporting the cancellation
-// at the first undispatched index. The failing index is returned with
-// the error so read paths can map it to a buffer position.
-func (fs *FS) runWindowed(ctx context.Context, n int, fn func(int) error) (int, error) {
-	if n <= 0 {
-		return 0, nil
-	}
-	if n == 1 {
-		return 0, fn(0)
-	}
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-		firstIdx int
-	)
-	for i := 0; i < n; i++ {
-		if err := backend.CtxErr(ctx); err != nil {
-			mu.Lock()
-			if firstErr == nil || i < firstIdx {
-				firstErr, firstIdx = err, i
-			}
-			mu.Unlock()
-			break
-		}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			if err := fn(i); err != nil {
-				mu.Lock()
-				if firstErr == nil || i < firstIdx {
-					firstErr, firstIdx = err, i
-				}
-				mu.Unlock()
-			}
-		}(i)
-	}
-	wg.Wait()
-	return firstIdx, firstErr
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -16,10 +17,9 @@ import (
 // to the FS, so many handles committing at once share one budget
 // instead of multiplying goroutines per handle.
 //
-// A width of 1 is the fully serial engine: run executes its tasks
-// inline on the caller's goroutine with no channel traffic, so the
-// serial path costs nothing beyond a branch — commits behave exactly
-// as the paper's single-threaded prototype.
+// A width of 1 is the fully serial engine: fanOut executes its tasks
+// inline on the caller's goroutine, so commits behave exactly as the
+// paper's single-threaded prototype.
 type pool struct {
 	width int
 	sem   chan struct{}
@@ -29,9 +29,10 @@ type pool struct {
 	rec *metrics.Recorder
 
 	// budgets, when non-nil, carves width into per-shard slices for
-	// runSharded: a task for shard s must hold both budgets[s].sem and
-	// the global sem, so one hot shard can saturate at most its slice
-	// of the pool while the global bound still caps mixed loads. Set
+	// admitShard batches: a task for shard s must hold both
+	// budgets[s].sem and the global sem, so one hot shard can saturate
+	// at most its slice of the pool while the global bound still caps
+	// mixed loads. Set
 	// at FS construction (carveBudgets) and RE-carved when the shard
 	// count changes across a layout epoch (an online rebalance adds or
 	// retires shards): each batch loads one consistent snapshot, so
@@ -39,8 +40,8 @@ type pool struct {
 	// new batches use the new carve.
 	budgets atomic.Pointer[[]*budget]
 
-	// batches counts run invocations; tasks counts the individual
-	// closures executed (both served inline and in workers).
+	// batches counts pool-admitted fanOut invocations; tasks counts
+	// their individual closures (both served inline and in workers).
 	batches atomic.Int64
 	tasks   atomic.Int64
 }
@@ -48,8 +49,7 @@ type pool struct {
 // budget is one shard's slice of the pool, plus its activity gauges.
 // The gauges also count the read fan-out, which deliberately does NOT
 // take the semaphores: a reader blocked on a segment lock must never
-// hold a slot a commit needs to release that lock (see file.go's
-// readSpansSharded).
+// hold a slot a commit needs to release that lock (see admitNone).
 type budget struct {
 	width  int
 	sem    chan struct{}
@@ -106,191 +106,220 @@ func (p *pool) loadBudgets() []*budget {
 	return nil
 }
 
-// runSharded is run with placement: task i is charged to shard
-// shardOf(i)'s budget, so commits against one hot shard queue on that
-// shard's slice of the pool instead of starving every other shard's
-// encrypt+write fan-out. Error semantics match run (lowest task index
-// wins). Falls back to the serial inline path at width 1.
-//
-// Unlike run, every task gets its own goroutine upfront: acquiring a
-// shard slot on the caller's goroutine would head-of-line-block tasks
-// bound for other shards behind one hot shard. The spawn is bounded
-// all the same — callers are commit phases, whose batches hold at
-// most one segment's worth of tasks (per-block writes bounded by R,
-// coalesced run writes by the runs of one segment) — so the parked
-// goroutines per in-flight commit stay within one segment's K.
-func (p *pool) runSharded(ctx context.Context, n int, shardOf func(int) int, fn func(int) error) error {
-	budgets := p.loadBudgets()
-	if budgets == nil {
-		return p.run(ctx, n, fn)
-	}
-	if n <= 0 {
-		return nil
-	}
-	// A shard index can outrun the snapshot when a recarve (epoch
-	// change) races this batch; clamp rather than panic — the budget
-	// is an accounting slice, not a correctness boundary.
-	budgetOf := func(i int) *budget {
-		s := shardOf(i)
-		if s < 0 || s >= len(budgets) {
-			s = 0
-		}
-		return budgets[s]
-	}
-	p.batches.Add(1)
-	p.tasks.Add(int64(n))
-	p.rec.CountEvent(metrics.PoolBatch, 1)
-	p.rec.CountEvent(metrics.PoolTask, int64(n))
-	p.rec.CountEvent(metrics.ShardTask, int64(n))
-	if p.width <= 1 {
-		// Serial engine: run inline like run(), but still charge each
-		// task to its owning shard's gauges so ShardStats reflects the
-		// routing even when nothing executes concurrently.
-		var firstErr error
-		for i := 0; i < n; i++ {
-			b := budgetOf(i)
-			b.queued.Add(1)
-			err := fn(i)
-			b.tasks.Add(1)
-			b.queued.Add(-1)
-			if err != nil && firstErr == nil {
-				firstErr = err
-			}
-		}
-		return firstErr
-	}
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-		firstIdx int
-	)
-	for i := 0; i < n; i++ {
-		// Tasks carry ctx (fn closes over it and the backend helpers
-		// observe it); a cancellation additionally stops dispatching
-		// tasks that have not been spawned yet. Error semantics are
-		// unchanged: the lowest failing index wins, and an undispatched
-		// task reports the cancellation at its own index.
-		if err := backend.CtxErr(ctx); err != nil {
-			mu.Lock()
-			if firstErr == nil || i < firstIdx {
-				firstErr, firstIdx = err, i
-			}
-			mu.Unlock()
-			break
-		}
-		b := budgetOf(i)
-		b.queued.Add(1)
-		wg.Add(1)
-		go func(i int, b *budget) {
-			defer wg.Done()
-			// Shard slot first, then the global slot. Always in this
-			// order, and tasks acquire nothing further, so the two-level
-			// wait cannot cycle; when the budgets sum to the width the
-			// global sem only gates against non-sharded batches.
-			b.sem <- struct{}{}
-			p.sem <- struct{}{}
-			err := fn(i)
-			<-p.sem
-			<-b.sem
-			b.tasks.Add(1)
-			b.queued.Add(-1)
-			if err != nil {
-				mu.Lock()
-				if firstErr == nil || i < firstIdx {
-					firstErr, firstIdx = err, i
-				}
-				mu.Unlock()
-			}
-		}(i, b)
-	}
-	wg.Wait()
-	return firstErr
-}
-
 // noteShardRead brackets one read-path backend fetch routed to shard
-// s in that shard's gauges (no semaphore — see budget). A fetch is a
-// single block on the per-block path or a whole coalesced run. The
-// returned func must be called when the fetch completes, with
-// cached=true when it was served from pending state or the cache:
-// those cost no backend I/O and are kept out of the task and
-// ShardRead counters so the per-shard numbers measure real fan-out,
-// not cache hits.
-func (p *pool) noteShardRead(s int) func(cached bool) {
+// s (a whole run) in that shard's gauges, without a semaphore (see
+// budget). Reads served from pending state or the cache cost no
+// backend I/O and never get here, so the per-shard numbers measure
+// real fan-out, not cache hits. The returned func must be called when
+// the fetch completes.
+func (p *pool) noteShardRead(s int) func() {
 	budgets := p.loadBudgets()
 	if budgets == nil || s < 0 || s >= len(budgets) {
-		return func(bool) {}
+		return func() {}
 	}
 	b := budgets[s]
 	b.queued.Add(1)
-	return func(cached bool) {
-		if !cached {
-			b.tasks.Add(1)
-			p.rec.CountEvent(metrics.ShardRead, 1)
-		}
+	return func() {
+		b.tasks.Add(1)
+		p.rec.CountEvent(metrics.ShardRead, 1)
 		b.queued.Add(-1)
 	}
 }
 
-// run executes fn(0) … fn(n-1), at most width at a time, and waits for
-// all of them. Every task runs even if an earlier one fails (matching
-// the crash model: a failing backend write does not stop the writes
-// already in flight); the error of the lowest task index is returned
-// so failures are deterministic regardless of scheduling.
+// admission is a fan-out's slot policy: what each task holds while it
+// runs. Every policy shares one dispatcher, fanOut.
+type admission int
+
+const (
+	// admitGlobal takes a global pool slot on the caller's goroutine
+	// before spawning each task, so concurrent batches from many
+	// handles queue fairly on the shared budget and the total number of
+	// in-flight tasks never exceeds width.
+	admitGlobal admission = iota
+	// admitShard charges task i to shard shardOf(i): the task takes
+	// that shard's budget slot, then the global slot, on its own
+	// goroutine — acquiring a shard slot on the caller's goroutine
+	// would head-of-line-block tasks bound for other shards behind one
+	// hot shard. Always in this order, and tasks acquire nothing
+	// further, so the two-level wait cannot cycle. The spawn is bounded
+	// all the same: callers are commit phases, whose batches hold at
+	// most one segment's runs. Without carved budgets (an unsharded
+	// mount) it is admitGlobal.
+	admitShard
+	// admitNone takes no slot: the tasks are backend I/O bracketed by
+	// the I/O window, or reads, which must never hold a pool slot (a
+	// reader blocked on a segment lock would starve the commit that
+	// holds it). With shardOf set, the tasks of one shard run in index
+	// order on one goroutine — the read fan-out's per-shard lane; with
+	// shardOf nil every task gets its own goroutine and the window is
+	// the only bound.
+	admitNone
+)
+
+// fanOut is the engine's one fan-out dispatcher: it runs fn(0) …
+// fn(n-1) under the admission policy adm and waits for every task it
+// dispatched. Every dispatched task runs even if another fails
+// (matching the crash model: a failing backend write does not stop the
+// writes already in flight), and a canceled ctx stops dispatch of the
+// tasks not yet started, reporting the cancellation at the first
+// undispatched index (tasks carry ctx through fn's closure as well).
+// The failure of the lowest index wins, so errors are deterministic
+// regardless of scheduling; the index is returned with the error so
+// read paths can map it to a buffer position.
 //
-// Each task slot is acquired on the caller's goroutine, so concurrent
-// run calls from many handles queue fairly on the shared budget and
-// the total number of in-flight tasks never exceeds width.
-func (p *pool) run(ctx context.Context, n int, fn func(int) error) error {
+// A pool-admitted batch at width 1, any batch of one task, and an
+// admitNone batch whose tasks share one lane run inline on the
+// caller's goroutine — the serial engine of the paper's prototype
+// spawns nothing. Pool-admitted batches count in PoolStats; admitNone
+// batches use no pool slot and do not.
+func (p *pool) fanOut(ctx context.Context, n int, adm admission, shardOf func(int) int, fn func(int) error) (int, error) {
 	if n <= 0 {
-		return nil
+		return 0, nil
 	}
-	p.batches.Add(1)
-	p.tasks.Add(int64(n))
-	p.rec.CountEvent(metrics.PoolBatch, 1)
-	p.rec.CountEvent(metrics.PoolTask, int64(n))
-	if p.width <= 1 || n == 1 {
-		var firstErr error
-		for i := 0; i < n; i++ {
-			if err := fn(i); err != nil && firstErr == nil {
-				firstErr = err
-			}
+	b := &fanBatch{p: p, ctx: ctx, fn: fn, shardOf: shardOf}
+	if adm == admitShard {
+		if b.budgets = p.loadBudgets(); b.budgets == nil {
+			adm = admitGlobal
 		}
-		return firstErr
 	}
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-		firstIdx int
-	)
-	for i := 0; i < n; i++ {
-		// As in runSharded: tasks carry ctx through fn's closure, and a
-		// cancellation stops dispatch of the tasks not yet spawned.
-		if err := backend.CtxErr(ctx); err != nil {
-			mu.Lock()
-			if firstErr == nil || i < firstIdx {
-				firstErr, firstIdx = err, i
-			}
-			mu.Unlock()
-			break
+	if adm != admitNone {
+		p.batches.Add(1)
+		p.tasks.Add(int64(n))
+		p.rec.CountEvent(metrics.PoolBatch, 1)
+		p.rec.CountEvent(metrics.PoolTask, int64(n))
+	}
+	if b.budgets != nil {
+		p.rec.CountEvent(metrics.ShardTask, int64(n))
+	}
+	var lanes [][]int
+	if adm == admitNone && shardOf != nil {
+		lanes = laneOf(n, shardOf)
+	}
+	switch {
+	case n == 1 || len(lanes) == 1 || adm != admitNone && p.width <= 1:
+		for i := 0; i < n && b.dispatch(i); i++ {
+			b.task(i)
 		}
-		p.sem <- struct{}{}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			defer func() { <-p.sem }()
-			if err := fn(i); err != nil {
-				mu.Lock()
-				if firstErr == nil || i < firstIdx {
-					firstErr, firstIdx = err, i
+	case lanes != nil:
+		for _, lane := range lanes {
+			b.wg.Add(1)
+			go func(lane []int) {
+				defer b.wg.Done()
+				for _, i := range lane {
+					if !b.dispatch(i) {
+						return
+					}
+					b.task(i)
 				}
-				mu.Unlock()
+			}(lane)
+		}
+	default:
+		for i := 0; i < n && b.dispatch(i); i++ {
+			if adm == admitGlobal {
+				p.sem <- struct{}{}
 			}
-		}(i)
+			b.wg.Add(1)
+			go func(i int) {
+				defer b.wg.Done()
+				b.task(i)
+				if adm == admitGlobal {
+					<-p.sem
+				}
+			}(i)
+		}
 	}
-	wg.Wait()
-	return firstErr
+	b.wg.Wait()
+	return b.idx, b.err
+}
+
+// fanBatch is one fanOut invocation's shared state.
+type fanBatch struct {
+	p       *pool
+	ctx     context.Context
+	fn      func(int) error
+	shardOf func(int) int
+	budgets []*budget // admitShard's budget snapshot; nil otherwise
+
+	wg  sync.WaitGroup
+	mu  sync.Mutex
+	err error // the failure of the lowest index so far
+	idx int
+}
+
+func (b *fanBatch) fail(i int, err error) {
+	b.mu.Lock()
+	if b.err == nil || i < b.idx {
+		b.err, b.idx = err, i
+	}
+	b.mu.Unlock()
+}
+
+// dispatch reports whether task i may start: a dead ctx fails it, and
+// the caller stops dispatching its lane.
+func (b *fanBatch) dispatch(i int) bool {
+	if err := backend.CtxErr(b.ctx); err != nil {
+		b.fail(i, err)
+		return false
+	}
+	return true
+}
+
+// task runs fn(i) under the in-task half of the admission policy. A
+// shard budget's gauges count the task even on the serial path, so
+// ShardStats reflects the routing when nothing runs concurrently.
+func (b *fanBatch) task(i int) {
+	var bud *budget
+	if b.budgets != nil {
+		// A shard index can outrun the snapshot when a recarve (epoch
+		// change) races this batch; clamp rather than panic — the
+		// budget is an accounting slice, not a correctness boundary.
+		s := b.shardOf(i)
+		if s < 0 || s >= len(b.budgets) {
+			s = 0
+		}
+		bud = b.budgets[s]
+		bud.queued.Add(1)
+		if b.p.sem != nil {
+			bud.sem <- struct{}{}
+			b.p.sem <- struct{}{}
+		}
+	}
+	err := b.fn(i)
+	if bud != nil {
+		if b.p.sem != nil {
+			<-b.p.sem
+			<-bud.sem
+		}
+		bud.tasks.Add(1)
+		bud.queued.Add(-1)
+	}
+	if err != nil {
+		b.fail(i, err)
+	}
+}
+
+// laneOf groups task indices 0..n-1 by shardOf, each lane in index
+// order and the lanes in order of their first task.
+func laneOf(n int, shardOf func(int) int) [][]int {
+	var keys []int
+	var lanes [][]int
+	for i := 0; i < n; i++ {
+		s := shardOf(i)
+		l := slices.Index(keys, s)
+		if l < 0 {
+			l = len(keys)
+			keys = append(keys, s)
+			lanes = append(lanes, nil)
+		}
+		lanes[l] = append(lanes[l], i)
+	}
+	return lanes
+}
+
+// run is fanOut under the global-slot policy, for CPU-bound batches.
+func (p *pool) run(ctx context.Context, n int, fn func(int) error) error {
+	_, err := p.fanOut(ctx, n, admitGlobal, nil, fn)
+	return err
 }
 
 // PoolStats is a snapshot of the worker-pool counters.

@@ -228,24 +228,14 @@ func (fs *FS) RekeyFullCtx(ctx context.Context, name string, newInner, newOuter 
 			if err != nil {
 				return stats, err
 			}
-			if fs.cfg.Compression {
-				n, err := newFS.encodeStored(ct, plain, newKey)
-				if err != nil {
-					return stats, err
-				}
-				if _, err := bf.WriteAt(ct[:n], off); err != nil {
-					return stats, err
-				}
-				newMeta.SetStoredLen(slot, uint8(n/layout.LenUnit))
-			} else {
-				if err := newFS.encryptBlock(ct, plain, newKey); err != nil {
-					return stats, err
-				}
-				if _, err := bf.WriteAt(ct, off); err != nil {
-					return stats, err
-				}
+			n, err := newFS.encode(ct, plain, newKey, newMeta.Compressed())
+			if err != nil {
+				return stats, err
 			}
-			newMeta.SetStableKey(slot, newKey)
+			if _, err := bf.WriteAt(ct[:n], off); err != nil {
+				return stats, err
+			}
+			setStable(newMeta, slot, newKey, n)
 			stats.DataBlocks++
 		}
 		if err := newMeta.Encode(metaBuf, newOuter); err != nil {

@@ -70,15 +70,16 @@ const (
 	PoolBatch
 	PoolTask
 	// ShardTask counts commit tasks routed through a per-shard worker
-	// budget; ShardRead counts read-path backend fetches (blocks or
-	// coalesced runs) fanned out across shards. Both zero on unsharded
+	// budget; ShardRead counts read-path backend fetches (runs of one
+	// or more blocks) fanned out across shards. Both zero on unsharded
 	// mounts.
 	ShardTask
 	ShardRead
-	// WriteRun / ReadRun count coalesced backend I/Os: one WriteRun per
-	// run of adjacent data blocks written by a commit with a single
+	// WriteRun / ReadRun count data-block backend I/Os: one WriteRun
+	// per run of adjacent data blocks written by a commit with a single
 	// WriteAt, one ReadRun per run of adjacent ciphertext blocks
-	// fetched by a multi-block read with a single backend read.
+	// fetched by a multi-block read with a single backend read. With
+	// coalescing disabled every run is one block long.
 	WriteRun
 	ReadRun
 	// Prefetch counts asynchronous readahead fetches issued by the

@@ -100,8 +100,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}{
 		{"lamassu_backend_ios_total", "counter", "Backend calls issued (reads, writes, truncates, syncs).", float64(es.BackendIOs)},
 		{"lamassu_backend_io_bytes_total", "counter", "Payload bytes moved by backend calls.", float64(es.IOBytes)},
-		{"lamassu_backend_write_runs_total", "counter", "Coalesced write runs.", float64(es.WriteRuns)},
-		{"lamassu_backend_read_runs_total", "counter", "Coalesced read runs.", float64(es.ReadRuns)},
+		{"lamassu_backend_write_runs_total", "counter", "Data-block backend writes (one per run of adjacent blocks).", float64(es.WriteRuns)},
+		{"lamassu_backend_read_runs_total", "counter", "Data-block backend reads (one per run of adjacent blocks).", float64(es.ReadRuns)},
 		{"lamassu_backend_prefetches_total", "counter", "Readahead windows issued.", float64(es.Prefetches)},
 		{"lamassu_slab_hits_total", "counter", "Scratch buffers served from the slab pool.", float64(es.SlabHits)},
 		{"lamassu_slab_misses_total", "counter", "Scratch buffers freshly allocated.", float64(es.SlabMisses)},

@@ -746,8 +746,9 @@ type EngineStats struct {
 	// once runs merge).
 	IOBytes    int64
 	BytesPerIO float64
-	// WriteRuns and ReadRuns count coalesced backend I/Os (one per run
-	// of adjacent blocks written or fetched in a single call);
+	// WriteRuns and ReadRuns count data-block backend I/Os: one per
+	// run of adjacent blocks written or fetched in a single call
+	// (under WithoutCoalescing every run is one block long);
 	// Prefetches counts readahead windows issued by the
 	// sequential-read detector.
 	WriteRuns, ReadRuns, Prefetches int64
