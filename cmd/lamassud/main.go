@@ -129,7 +129,7 @@ func run(argv []string, ready func(addr string), logw io.Writer) error {
 	}
 
 	// EncryptNames is non-negotiable: it is the tenant-isolation layer.
-	// CollectLatency feeds /metrics.
+	// CollectLatency adds the Figure 9 latency breakdown to /metrics.
 	opts := []lamassu.Option{
 		lamassu.WithEncryptedNames(),
 		lamassu.WithLatencyCollection(),

@@ -47,7 +47,7 @@
 //
 // With -json PATH, the extension experiments additionally emit their
 // rows as machine-readable JSON (experiment, configuration, MB/s,
-// backend I/O count from the metrics.IO counter, bytes per I/O and
+// backend I/O count from EngineStats.BackendIOs, bytes per I/O and
 // allocs per block op), the feed for the BENCH_*.json perf trajectory.
 //
 // Sizes default to a scaled-down configuration that finishes in about
@@ -255,9 +255,9 @@ func validExp(e string) bool {
 
 // coalesceTable A/Bs the I/O coalescing layer against the paper's
 // per-block engine on sequential whole-file write and read of the same
-// data, reporting throughput, the backend I/O count (the metrics.IO
-// counter), mean payload per backend call and heap allocations per
-// 4 KiB block. The backend I/O counts are deterministic, so the
+// data, reporting throughput, the backend I/O count
+// (EngineStats.BackendIOs), mean payload per backend call and heap
+// allocations per 4 KiB block. The backend I/O counts are deterministic, so the
 // comparison doubles as a regression gate: an error is returned — and
 // lmsbench exits non-zero — if the coalesced engine does not strictly
 // reduce the I/O count on BOTH directions of the sequential workload.

@@ -38,7 +38,8 @@ func main() {
 	defer os.RemoveAll(dir)
 
 	// 1. A mount exactly as lamassud builds it: encrypted names are the
-	//    tenant-isolation layer, latency collection feeds /metrics.
+	//    tenant-isolation layer, latency collection adds the Figure 9
+	//    breakdown to /metrics.
 	keys, err := lamassu.GenerateKeys()
 	if err != nil {
 		log.Fatal(err)

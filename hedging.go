@@ -21,7 +21,6 @@ import (
 	"time"
 
 	"lamassu/internal/backend/hedge"
-	"lamassu/internal/metrics"
 )
 
 // HedgePolicy tunes the hedged-read wrapper enabled by WithHedgedReads.
@@ -45,44 +44,38 @@ type HedgePolicy struct {
 }
 
 // backendPolicy lowers the public policy onto the backend hedging
-// layer, wiring the hedge counters into the mount's recorder
-// (nil-safe: the callbacks are no-ops without Options.CollectLatency).
-func (p HedgePolicy) backendPolicy(rec *metrics.Recorder) hedge.Policy {
-	return hedge.Policy{
-		Delay:      p.Delay,
-		Quantile:   p.Quantile,
-		MinDelay:   p.MinDelay,
-		OnHedge:    func() { rec.CountEvent(metrics.HedgeAttempt, 1) },
-		OnHedgeWin: func() { rec.CountEvent(metrics.HedgeWin, 1) },
-	}
+// layer.
+func (p HedgePolicy) backendPolicy() hedge.Policy {
+	return hedge.Policy{Delay: p.Delay, Quantile: p.Quantile, MinDelay: p.MinDelay}
 }
 
-// hedgeRegistry collects the hedging wrappers a mount created — one
-// per physical store — so EngineStats and HedgedReadStats can
-// aggregate their counters. Stores join at mount time and when an
-// online rebalance wraps a store new to the deployment. All methods
-// are nil-safe (mounts without hedging carry a nil registry).
-type hedgeRegistry struct {
+// registry collects the per-store wrappers of one kind a mount created
+// — hedging or retry, one per physical store — so EngineStats and
+// HedgedReadStats can aggregate the counters the wrappers own. Stores
+// join at mount time and when an online rebalance wraps a store new
+// to the deployment. All methods are nil-safe (a mount without the
+// wrapper carries a nil registry).
+type registry[T any] struct {
 	mu     sync.Mutex
-	stores []*hedge.Store
+	stores []T
 }
 
-func (r *hedgeRegistry) add(s *hedge.Store) {
-	if r == nil {
-		return
+func (r *registry[T]) add(s T) T {
+	if r != nil {
+		r.mu.Lock()
+		r.stores = append(r.stores, s)
+		r.mu.Unlock()
 	}
-	r.mu.Lock()
-	r.stores = append(r.stores, s)
-	r.mu.Unlock()
+	return s
 }
 
-func (r *hedgeRegistry) snapshot() []*hedge.Store {
+func (r *registry[T]) snapshot() []T {
 	if r == nil {
 		return nil
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return append([]*hedge.Store(nil), r.stores...)
+	return append([]T(nil), r.stores...)
 }
 
 // HedgedReadStats is one hedged store's counters: how many reads it

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 // conformance runs the same behavioural suite against any Store
@@ -328,6 +329,54 @@ func TestMemStoreStats(t *testing.T) {
 	}
 	if got := s.TotalBytes(); got != 8192 {
 		t.Errorf("TotalBytes = %d, want 8192", got)
+	}
+}
+
+// TestMemStoreStatDuringWrites races WriteAt against Stat on one file.
+// Stat takes the store lock and then the file lock; WriteAt holds the
+// file lock while it counts, so a counter behind the store lock would
+// deadlock the pair. The deadline turns such a hang into a failure.
+func TestMemStoreStatDuringWrites(t *testing.T) {
+	s := NewMemStore()
+	f, err := s.Open("a", OpenCreate)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	const n = 20000
+	done := make(chan error, 2)
+	go func() {
+		buf := make([]byte, 64)
+		for i := 0; i < n; i++ {
+			if _, err := f.WriteAt(buf, int64(i%64)*64); err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+	go func() {
+		for i := 0; i < n; i++ {
+			if _, err := s.Stat("a"); err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+	deadline := time.After(10 * time.Second)
+	for i := 0; i < 2; i++ {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-deadline:
+			t.Fatal("WriteAt and Stat deadlocked")
+		}
+	}
+	if st := s.Stats(); st.Writes != n {
+		t.Fatalf("Writes = %d, want %d", st.Writes, n)
 	}
 }
 

@@ -66,10 +66,6 @@ type Policy struct {
 	// (e.g. on cancellation) suppresses the hedge. Nil uses the
 	// clock's cancelable sleep.
 	Sleep func(ctx context.Context, d time.Duration) error
-	// OnHedge/OnHedgeWin observe every hedge issued and every hedge
-	// that beat its primary (metrics hooks; may be nil).
-	OnHedge    func()
-	OnHedgeWin func()
 }
 
 // Stats is a snapshot of a Store's read-hedging counters and the
@@ -327,9 +323,6 @@ func (f *file) hedgedRead(ctx context.Context, p []byte, off int64, d time.Durat
 				s.putBuf(r.buf)
 				if r.hedge {
 					s.hedgeWins.Add(1)
-					if s.p.OnHedgeWin != nil {
-						s.p.OnHedgeWin()
-					}
 				} else {
 					s.record(s.p.Clock.Now().Sub(start))
 				}
@@ -355,9 +348,6 @@ func (f *file) hedgedRead(ctx context.Context, p []byte, off int64, d time.Durat
 			launched = true
 			inflight++
 			s.hedges.Add(1)
-			if s.p.OnHedge != nil {
-				s.p.OnHedge()
-			}
 			go issue(s.getBuf(len(p)), true)
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 )
 
 // MemStore is an in-memory Store. It models the paper's RAM-disk
@@ -18,7 +19,11 @@ type MemStore struct {
 	mu    sync.Mutex
 	files map[string]*memData
 
-	stats StoreStats
+	// The operation counters are atomics and never take mu: ReadAt and
+	// WriteAt count while holding a file's lock, and Stat and
+	// TotalBytes take mu before a file's lock, so counting under mu
+	// would invert that order and deadlock.
+	reads, writes, syncs, bytesRead, bytesWritten atomic.Int64
 }
 
 // StoreStats is a snapshot of operation counters for a MemStore.
@@ -131,16 +136,15 @@ func (s *MemStore) Stat(name string) (int64, error) {
 
 // Stats returns a snapshot of the operation counters.
 func (s *MemStore) Stats() StoreStats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.stats
+	return StoreStats{Reads: s.reads.Load(), Writes: s.writes.Load(), Syncs: s.syncs.Load(),
+		BytesRead: s.bytesRead.Load(), BytesWritten: s.bytesWritten.Load()}
 }
 
 // ResetStats zeroes the operation counters.
 func (s *MemStore) ResetStats() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.stats = StoreStats{}
+	for _, c := range []*atomic.Int64{&s.reads, &s.writes, &s.syncs, &s.bytesRead, &s.bytesWritten} {
+		c.Store(0)
+	}
 }
 
 // TotalBytes returns the sum of all file sizes (the RAM disk's du).
@@ -154,26 +158,6 @@ func (s *MemStore) TotalBytes() int64 {
 		d.mu.RUnlock()
 	}
 	return total
-}
-
-func (s *MemStore) countRead(n int) {
-	s.mu.Lock()
-	s.stats.Reads++
-	s.stats.BytesRead += int64(n)
-	s.mu.Unlock()
-}
-
-func (s *MemStore) countWrite(n int) {
-	s.mu.Lock()
-	s.stats.Writes++
-	s.stats.BytesWritten += int64(n)
-	s.mu.Unlock()
-}
-
-func (s *MemStore) countSync() {
-	s.mu.Lock()
-	s.stats.Syncs++
-	s.mu.Unlock()
 }
 
 type memFile struct {
@@ -208,7 +192,8 @@ func (f *memFile) ReadAt(p []byte, off int64) (int, error) {
 		return 0, errEOF
 	}
 	n := copy(p, f.data.data[off:])
-	f.store.countRead(n)
+	f.store.reads.Add(1)
+	f.store.bytesRead.Add(int64(n))
 	if n < len(p) {
 		return n, errEOF
 	}
@@ -231,7 +216,8 @@ func (f *memFile) WriteAt(p []byte, off int64) (int, error) {
 	end := off + int64(len(p))
 	f.data.grow(end)
 	copy(f.data.data[off:end], p)
-	f.store.countWrite(len(p))
+	f.store.writes.Add(1)
+	f.store.bytesWritten.Add(int64(len(p)))
 	return len(p), nil
 }
 
@@ -275,7 +261,7 @@ func (f *memFile) Sync() error {
 	if err := f.checkOpen(); err != nil {
 		return err
 	}
-	f.store.countSync()
+	f.store.syncs.Add(1)
 	return nil
 }
 

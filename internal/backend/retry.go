@@ -47,13 +47,6 @@ type RetryPolicy struct {
 	// nil ctx waits unconditionally, a canceled one cuts the wait
 	// short with a non-nil error.
 	Sleep func(ctx context.Context, d time.Duration) error
-	// OnRetry, when non-nil, is called before each re-issue with the
-	// operation label, the attempt number that failed (1-based) and
-	// its error.
-	OnRetry func(op string, attempt int, err error)
-	// OnExhausted, when non-nil, is called when an operation gives up
-	// with a retryable error after its final attempt.
-	OnExhausted func(op string, attempts int, err error)
 }
 
 func (p RetryPolicy) maxAttempts() int {
@@ -174,18 +167,12 @@ func (s *RetryStore) do(ctx context.Context, op string, f func() error) error {
 		}
 		if attempt >= attempts {
 			s.exhausted.Add(1)
-			if cb := s.p.OnExhausted; cb != nil {
-				cb(op, attempts, err)
-			}
 			if attempts == 1 {
 				return err // retries disabled: surface untouched
 			}
 			return fmt.Errorf("backend: %s: retries exhausted after %d attempts: %w", op, attempts, err)
 		}
 		s.retries.Add(1)
-		if cb := s.p.OnRetry; cb != nil {
-			cb(op, attempt, err)
-		}
 		if serr := s.sleep(ctx, s.backoff(seq, attempt)); serr != nil {
 			if cerr := CtxErr(ctx); cerr != nil {
 				return cerr

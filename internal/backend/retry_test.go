@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"strings"
 	"syscall"
 	"testing"
 	"time"
@@ -185,12 +186,7 @@ func TestRetryStoreAbsorbsTransientFaults(t *testing.T) {
 func TestRetryStoreExhaustion(t *testing.T) {
 	cause := Retryable(errors.New("always down"))
 	flaky := &flakyStore{MemStore: NewMemStore(), fail: 1 << 30, err: cause}
-	var exhaustedOp string
-	rs := NewRetryStore(flaky, RetryPolicy{
-		MaxAttempts: 3,
-		Sleep:       noSleep,
-		OnExhausted: func(op string, attempts int, err error) { exhaustedOp = op },
-	})
+	rs := NewRetryStore(flaky, RetryPolicy{MaxAttempts: 3, Sleep: noSleep})
 	_, err := rs.Open("seg", OpenCreate)
 	if err == nil {
 		t.Fatal("Open succeeded against a permanently failing store")
@@ -204,8 +200,8 @@ func TestRetryStoreExhaustion(t *testing.T) {
 	if flaky.ops != 3 {
 		t.Fatalf("inner store saw %d attempts, want 3", flaky.ops)
 	}
-	if exhaustedOp != "open" {
-		t.Fatalf("OnExhausted op = %q, want open", exhaustedOp)
+	if !strings.Contains(err.Error(), "open: retries exhausted") {
+		t.Fatalf("exhausted error does not name the open op: %v", err)
 	}
 	if st := rs.Stats(); st.Retries != 2 || st.Exhausted != 1 {
 		t.Fatalf("Stats = %+v, want 2 retries 1 exhausted", st)

@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 
 	"lamassu/internal/layout"
-	"lamassu/internal/metrics"
 )
 
 // blockCache is the per-FS LRU cache of verified plaintext data blocks
@@ -42,11 +41,6 @@ type blockCache struct {
 	// optimization, and the counter costs no per-name state.
 	gen atomic.Uint64
 
-	// rec optionally mirrors hits/misses into the latency recorder's
-	// event stream; counting happens only inside getData/getMeta so
-	// the two bookkeeping systems cannot drift.
-	rec *metrics.Recorder
-
 	hits   atomic.Int64
 	misses atomic.Int64
 }
@@ -74,7 +68,7 @@ type cacheEntry struct {
 
 // newBlockCache returns a cache holding up to capBlocks entries (data
 // and metadata blocks each count as one), or nil when capBlocks <= 0.
-func newBlockCache(capBlocks int, rec *metrics.Recorder) *blockCache {
+func newBlockCache(capBlocks int) *blockCache {
 	if capBlocks <= 0 {
 		return nil
 	}
@@ -82,7 +76,6 @@ func newBlockCache(capBlocks int, rec *metrics.Recorder) *blockCache {
 		cap: capBlocks,
 		ll:  list.New(),
 		m:   make(map[cacheKey]*list.Element, capBlocks),
-		rec: rec,
 	}
 }
 
@@ -106,12 +99,10 @@ func (c *blockCache) getData(name string, dbi int64, dst []byte) bool {
 	c.mu.Unlock()
 	if !ok {
 		c.misses.Add(1)
-		c.rec.CountEvent(metrics.CacheMiss, 1)
 		return false
 	}
 	copy(dst, e.data)
 	c.hits.Add(1)
-	c.rec.CountEvent(metrics.CacheHit, 1)
 	return true
 }
 
@@ -152,11 +143,9 @@ func (c *blockCache) getMeta(name string, seg int64) *layout.MetaBlock {
 	c.mu.Unlock()
 	if !ok {
 		c.misses.Add(1)
-		c.rec.CountEvent(metrics.CacheMiss, 1)
 		return nil
 	}
 	c.hits.Add(1)
-	c.rec.CountEvent(metrics.CacheHit, 1)
 	return e.meta.Clone()
 }
 

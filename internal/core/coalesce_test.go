@@ -10,7 +10,6 @@ import (
 	"lamassu/internal/backend"
 	"lamassu/internal/faultfs"
 	"lamassu/internal/fstest"
-	"lamassu/internal/metrics"
 	"lamassu/internal/vfs"
 )
 
@@ -18,14 +17,12 @@ import (
 // through the engine commits once — fresh blocks claim no transient
 // slots, so the whole 118-block segment batches — and phase 2 merges
 // the batch into a single run, for runs+2 = 3 backend writes where the
-// per-block engine pays ~148. The metrics.IO counter must drop at
+// per-block engine pays ~148. The backend-call counter must drop at
 // least 4x.
 func TestCoalescedSegmentCommitThreeIOs(t *testing.T) {
 	run := func(disable bool) (writes int64, ios int64) {
 		store := backend.NewMemStore()
-		rec := metrics.New()
 		cfg := testConfig()
-		cfg.Recorder = rec
 		cfg.DisableCoalescing = disable
 		lfs := newFS(t, store, cfg)
 		f, err := lfs.Create("f")
@@ -46,7 +43,7 @@ func TestCoalescedSegmentCommitThreeIOs(t *testing.T) {
 		if err := f.Close(); err != nil {
 			t.Fatal(err)
 		}
-		return store.Stats().Writes, rec.Snapshot().IOs()
+		return store.Stats().Writes, lfs.Counters().BackendIOs
 	}
 	cWrites, cIOs := run(false)
 	if cWrites != 3 {
@@ -54,7 +51,7 @@ func TestCoalescedSegmentCommitThreeIOs(t *testing.T) {
 	}
 	pWrites, pIOs := run(true)
 	if pIOs < 4*cIOs {
-		t.Fatalf("metrics.IO dropped only %d -> %d (%.1fx), want >= 4x",
+		t.Fatalf("BackendIOs dropped only %d -> %d (%.1fx), want >= 4x",
 			pIOs, cIOs, float64(pIOs)/float64(cIOs))
 	}
 	if pWrites <= cWrites {
@@ -68,10 +65,7 @@ func TestCoalescedSegmentCommitThreeIOs(t *testing.T) {
 // into one run (R+2 -> 3 backend writes per batch).
 func TestCoalescedOverwriteKeepsPaperBatching(t *testing.T) {
 	store := backend.NewMemStore()
-	rec := metrics.New()
-	cfg := testConfig()
-	cfg.Recorder = rec
-	lfs := newFS(t, store, cfg)
+	lfs := newFS(t, store, testConfig())
 
 	data := make([]byte, 64*4096)
 	rand.New(rand.NewSource(1)).Read(data)
@@ -85,7 +79,7 @@ func TestCoalescedOverwriteKeepsPaperBatching(t *testing.T) {
 	defer f.Close()
 
 	store.ResetStats()
-	rec.Reset()
+	before := lfs.Counters()
 	buf := bytes.Repeat([]byte{0x55}, 4096)
 	r := lfs.geo.Reserved
 	const batches = 4
@@ -100,7 +94,7 @@ func TestCoalescedOverwriteKeepsPaperBatching(t *testing.T) {
 		t.Fatalf("%d backend writes for %d live-overwrite batches, want %d",
 			writes, batches, batches*3)
 	}
-	if runs := rec.Snapshot().Event(metrics.WriteRun); runs != int64(batches) {
+	if runs := lfs.Counters().WriteRuns - before.WriteRuns; runs != int64(batches) {
 		t.Fatalf("WriteRun = %d, want %d", runs, batches)
 	}
 }
@@ -109,10 +103,7 @@ func TestCoalescedOverwriteKeepsPaperBatching(t *testing.T) {
 // segment-contiguous run.
 func TestCoalescedReadRunIOs(t *testing.T) {
 	store := backend.NewMemStore()
-	rec := metrics.New()
-	cfg := testConfig()
-	cfg.Recorder = rec
-	lfs := newFS(t, store, cfg)
+	lfs := newFS(t, store, testConfig())
 
 	k := lfs.geo.KeysPerSegment()
 	data := make([]byte, 2*k*4096) // exactly two full segments
@@ -127,7 +118,7 @@ func TestCoalescedReadRunIOs(t *testing.T) {
 	defer f.Close()
 
 	store.ResetStats()
-	rec.Reset()
+	before := lfs.Counters()
 	got := make([]byte, len(data))
 	if _, err := f.ReadAt(got, 0); err != nil {
 		t.Fatal(err)
@@ -139,7 +130,7 @@ func TestCoalescedReadRunIOs(t *testing.T) {
 	if reads := store.Stats().Reads; reads != 4 {
 		t.Fatalf("%d backend reads for a 2-segment read, want 4 (2 runs + 2 metas)", reads)
 	}
-	if runs := rec.Snapshot().Event(metrics.ReadRun); runs != 2 {
+	if runs := lfs.Counters().ReadRuns - before.ReadRuns; runs != 2 {
 		t.Fatalf("ReadRun = %d, want 2", runs)
 	}
 }
@@ -170,9 +161,7 @@ func TestConformanceWithReadahead(t *testing.T) {
 // ahead of the reader.
 func TestReadaheadPopulatesCache(t *testing.T) {
 	store := backend.NewMemStore()
-	rec := metrics.New()
 	cfg := testConfig()
-	cfg.Recorder = rec
 	cfg.CacheBlocks = 1024
 	cfg.Readahead = 16
 	lfs := newFS(t, store, cfg)
@@ -199,7 +188,7 @@ func TestReadaheadPopulatesCache(t *testing.T) {
 	// The prefetcher is asynchronous; wait for at least one window to
 	// be issued and cached before closing the handle.
 	deadline := time.Now().Add(5 * time.Second)
-	for rec.Snapshot().Event(metrics.Prefetch) == 0 && time.Now().Before(deadline) {
+	for lfs.Counters().Prefetches == 0 && time.Now().Before(deadline) {
 		if _, err := f.ReadAt(buf, 64*4096); err != nil {
 			t.Fatal(err)
 		}
@@ -208,7 +197,7 @@ func TestReadaheadPopulatesCache(t *testing.T) {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if got := rec.Snapshot().Event(metrics.Prefetch); got == 0 {
+	if got := lfs.Counters().Prefetches; got == 0 {
 		t.Fatal("sequential scan issued no prefetch")
 	}
 	if hits := lfs.CacheStats().Hits; hits == 0 {

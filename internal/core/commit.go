@@ -7,7 +7,6 @@ import (
 
 	"lamassu/internal/backend"
 	"lamassu/internal/cryptoutil"
-	"lamassu/internal/metrics"
 )
 
 // commitSegment runs the multiphase commit protocol (§2.4) for one
@@ -331,7 +330,7 @@ func (f *file) commitChunk(ctx context.Context, seg *segment, si int64, slots []
 		if phys < end {
 			t := f.fs.cfg.Recorder.Start()
 			err := backend.TruncateCtx(ctx, f.bf, end)
-			f.fs.cfg.Recorder.Stop(metrics.IO, t)
+			f.fs.ioDone(t, 0, 0)
 			if err != nil {
 				return 0, fmt.Errorf("lamassu: commit phase 2 (segment %d extent pad): %w", si, err)
 			}
@@ -389,11 +388,9 @@ func (f *file) writeRuns(ctx context.Context, si int64, slots []int, lens []int,
 		f.fs.iow.acquire()
 		t := f.fs.cfg.Recorder.Start()
 		_, werr := backend.WriteAtCtx(ctx, f.bf, payload, run.off)
-		f.fs.cfg.Recorder.Stop(metrics.IO, t)
+		f.fs.ioDone(t, len(payload), (run.hi-run.lo)*bs)
 		f.fs.iow.release()
-		f.fs.cfg.Recorder.CountIOBytes(int64(len(payload)))
-		f.fs.cfg.Recorder.CountDataBytes(int64((run.hi-run.lo)*bs), int64(len(payload)))
-		f.fs.cfg.Recorder.CountEvent(metrics.WriteRun, 1)
+		f.fs.ctr.writeRuns.Add(1)
 		if werr != nil {
 			dbi := si*keysPerSeg + int64(slots[run.lo])
 			return fmt.Errorf("lamassu: commit phase 2 (run of %d blocks at block %d): %w",
@@ -506,7 +503,7 @@ func (f *file) persistSize(ctx context.Context) error {
 		// NDB = NMB = 0).
 		t := f.fs.cfg.Recorder.Start()
 		err := f.bf.Truncate(0)
-		f.fs.cfg.Recorder.Stop(metrics.IO, t)
+		f.fs.ioDone(t, 0, 0)
 		if err != nil {
 			return err
 		}
@@ -535,7 +532,7 @@ func (f *file) persistSize(ctx context.Context) error {
 	if want := f.fs.geo.PhysicalSize(f.size); phys < want {
 		t := f.fs.cfg.Recorder.Start()
 		err := backend.TruncateCtx(ctx, f.bf, want)
-		f.fs.cfg.Recorder.Stop(metrics.IO, t)
+		f.fs.ioDone(t, 0, 0)
 		if err != nil {
 			return err
 		}

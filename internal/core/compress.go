@@ -63,9 +63,9 @@ func (fs *FS) encode(dst, src []byte, key cryptoutil.Key, compress bool) (int, e
 			stored = (n + layout.LenUnit - 1) / layout.LenUnit * layout.LenUnit
 			clear(scratch[n:stored])
 			plain = scratch[:stored]
-			fs.cfg.Recorder.CountEvent(metrics.BlockCompressed, 1)
+			fs.ctr.compressed.Add(1)
 		} else {
-			fs.cfg.Recorder.CountEvent(metrics.RawEscape, 1)
+			fs.ctr.rawEscapes.Add(1)
 		}
 	}
 	t := fs.cfg.Recorder.Start()

@@ -13,7 +13,6 @@ import (
 	"lamassu/internal/backend"
 	"lamassu/internal/fstest"
 	"lamassu/internal/layout"
-	"lamassu/internal/metrics"
 	"lamassu/internal/vfs"
 )
 
@@ -237,17 +236,12 @@ func TestCompressionOffWriterIntoCompressedSegment(t *testing.T) {
 // read path, and incompressible data must cost exactly what the raw
 // engine charges (the raw-escape guarantee).
 func TestCompressionBytesOnWire(t *testing.T) {
-	run := func(data []byte) (wr, rd metrics.Breakdown) {
-		store := backend.NewMemStore()
-		cfg := compressedConfig()
-		rec := metrics.New()
-		cfg.Recorder = rec
-		lfs := newFS(t, store, cfg)
+	run := func(data []byte) (wr, rd Counters) {
+		lfs := newFS(t, backend.NewMemStore(), compressedConfig())
 		if err := vfs.WriteAll(lfs, "f", data); err != nil {
 			t.Fatal(err)
 		}
-		wr = rec.Snapshot()
-		rec.Reset()
+		wr = lfs.Counters()
 		got, err := vfs.ReadAll(lfs, "f")
 		if err != nil {
 			t.Fatal(err)
@@ -255,14 +249,17 @@ func TestCompressionBytesOnWire(t *testing.T) {
 		if !bytes.Equal(got, data) {
 			t.Fatal("round trip mismatch")
 		}
-		return wr, rec.Snapshot()
+		rd = lfs.Counters()
+		rd.LogicalBytes -= wr.LogicalBytes
+		rd.StoredBytes -= wr.StoredBytes
+		return wr, rd
 	}
 
 	const n = 200 * 4096
 	cw, cr := run(compressibleBytes(41, n, 0.2))
 	for _, b := range []struct {
 		name string
-		bd   metrics.Breakdown
+		bd   Counters
 	}{{"write", cw}, {"read", cr}} {
 		if b.bd.LogicalBytes != n {
 			t.Fatalf("%s: LogicalBytes = %d, want %d", b.name, b.bd.LogicalBytes, n)
@@ -271,11 +268,11 @@ func TestCompressionBytesOnWire(t *testing.T) {
 			t.Fatalf("%s: compressible data moved %d stored bytes for %d logical",
 				b.name, b.bd.StoredBytes, b.bd.LogicalBytes)
 		}
-		if r := b.bd.CompressionRatio(); r < 1.5 {
+		if r := float64(b.bd.LogicalBytes) / float64(b.bd.StoredBytes); r < 1.5 {
 			t.Fatalf("%s: compression ratio %.2f, want >= 1.5 on this data", b.name, r)
 		}
 	}
-	if cw.Event(metrics.BlockCompressed) == 0 {
+	if cw.CompressedBlocks == 0 {
 		t.Fatal("no blocks recorded as compressed")
 	}
 
@@ -284,7 +281,7 @@ func TestCompressionBytesOnWire(t *testing.T) {
 		t.Fatalf("incompressible data: stored %d/%d bytes != logical %d/%d",
 			iw.StoredBytes, ir.StoredBytes, iw.LogicalBytes, ir.LogicalBytes)
 	}
-	if iw.Event(metrics.RawEscape) == 0 {
+	if iw.RawEscapes == 0 {
 		t.Fatal("no raw escapes recorded on incompressible data")
 	}
 }

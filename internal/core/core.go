@@ -49,6 +49,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync/atomic"
+	"time"
 
 	"lamassu/internal/backend"
 	"lamassu/internal/cryptoutil"
@@ -118,7 +120,8 @@ type Config struct {
 	// Integrity selects the read-path integrity level.
 	Integrity IntegrityMode
 	// Recorder, when non-nil, accumulates the Figure 9 latency
-	// breakdown (Encrypt / Decrypt / GetCEKey / I/O / Misc).
+	// breakdown (Encrypt / Decrypt / GetCEKey / I/O / Misc). It times;
+	// the engine's counters (FS.Counters) are live without it.
 	Recorder *metrics.Recorder
 	// KeyDeriver, when non-nil, replaces the local convergent KDF
 	// (CEKey = E_AES(Kin, H(block))) with an external derivation —
@@ -224,6 +227,65 @@ type FS struct {
 	// iow, when non-nil, caps concurrently outstanding backend I/O
 	// (Config.IOWindow).
 	iow *ioWindow
+	ctr counters
+}
+
+// Counters is a snapshot of the engine's data-path counters (see
+// FS.Counters).
+type Counters struct {
+	// BackendIOs counts backend calls (reads, writes, truncates,
+	// syncs) the engine issued; IOBytes totals their payload.
+	BackendIOs, IOBytes int64
+	// WriteRuns and ReadRuns count data-block backend I/Os, one per
+	// run of adjacent blocks written by a commit or fetched by a
+	// multi-block read in a single call; Prefetches counts readahead
+	// windows issued by the sequential-read detector.
+	WriteRuns, ReadRuns, Prefetches int64
+	// LogicalBytes counts the plaintext block bytes data-block calls
+	// carried; StoredBytes the bytes they put on (or fetched off) the
+	// wire for them. Equal without compression.
+	LogicalBytes, StoredBytes int64
+	// CompressedBlocks counts blocks committed as a compressed prefix
+	// of their slot; RawEscapes counts blocks the compressor could not
+	// shrink, stored verbatim.
+	CompressedBlocks, RawEscapes int64
+}
+
+// counters is the live form of Counters. Each field is incremented at
+// exactly one site: ioDone for the backend-call fields, the run
+// writer and reader, the prefetcher and encode.
+type counters struct {
+	backendIOs, ioBytes             atomic.Int64
+	writeRuns, readRuns, prefetches atomic.Int64
+	logicalBytes, storedBytes       atomic.Int64
+	compressed, rawEscapes          atomic.Int64
+}
+
+// Counters returns the engine's data-path counters.
+func (fs *FS) Counters() Counters {
+	c := &fs.ctr
+	return Counters{
+		BackendIOs: c.backendIOs.Load(), IOBytes: c.ioBytes.Load(),
+		WriteRuns: c.writeRuns.Load(), ReadRuns: c.readRuns.Load(), Prefetches: c.prefetches.Load(),
+		LogicalBytes: c.logicalBytes.Load(), StoredBytes: c.storedBytes.Load(),
+		CompressedBlocks: c.compressed.Load(), RawEscapes: c.rawEscapes.Load(),
+	}
+}
+
+// ioDone closes one backend call begun at start (Recorder.Start): it
+// charges the call's wall time to the I/O category and counts the call
+// with its n payload bytes. A data-block call also passes the logical
+// plaintext bytes its n stored bytes carry; other calls pass 0.
+func (fs *FS) ioDone(start time.Time, n, logical int) {
+	fs.cfg.Recorder.Stop(metrics.IO, start)
+	fs.ctr.backendIOs.Add(1)
+	if n > 0 {
+		fs.ctr.ioBytes.Add(int64(n))
+	}
+	if logical > 0 {
+		fs.ctr.logicalBytes.Add(int64(logical))
+		fs.ctr.storedBytes.Add(int64(n))
+	}
 }
 
 // New validates cfg and returns a Lamassu FS over store.
@@ -261,9 +323,9 @@ func New(store backend.Store, cfg Config) (*FS, error) {
 		store: store,
 		geo:   cfg.Geometry,
 		cfg:   cfg,
-		pool:  newPool(cfg.Parallelism, cfg.Recorder),
-		cache: newBlockCache(cfg.CacheBlocks, cfg.Recorder),
-		slabs: newSlabPool(cfg.Geometry.BlockSize, cfg.Geometry.KeysPerSegment(), cfg.Recorder),
+		pool:  newPool(cfg.Parallelism),
+		cache: newBlockCache(cfg.CacheBlocks),
+		slabs: newSlabPool(cfg.Geometry.BlockSize, cfg.Geometry.KeysPerSegment()),
 		iow:   newIOWindow(cfg.IOWindow),
 	}
 	if cfg.KeyDeriver == nil {
@@ -468,8 +530,7 @@ func (fs *FS) readMeta(ctx context.Context, bf backend.File, seg int64) (*layout
 	defer fs.slabs.put(buf)
 	t := fs.cfg.Recorder.Start()
 	err := backend.ReadFullCtx(ctx, bf, buf, fs.geo.MetaBlockOffset(seg))
-	fs.cfg.Recorder.Stop(metrics.IO, t)
-	fs.cfg.Recorder.CountIOBytes(int64(len(buf)))
+	fs.ioDone(t, len(buf), 0)
 	if err != nil {
 		return nil, err
 	}
@@ -503,8 +564,7 @@ func (fs *FS) writeMeta(ctx context.Context, bf backend.File, name string, m *la
 	fs.cache.invalidateMeta(name, int64(m.SegIndex))
 	t = fs.cfg.Recorder.Start()
 	_, err = backend.WriteAtCtx(ctx, bf, buf, fs.geo.MetaBlockOffset(int64(m.SegIndex)))
-	fs.cfg.Recorder.Stop(metrics.IO, t)
-	fs.cfg.Recorder.CountIOBytes(int64(len(buf)))
+	fs.ioDone(t, len(buf), 0)
 	fs.cache.invalidateMeta(name, int64(m.SegIndex))
 	return err
 }

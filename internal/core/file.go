@@ -10,7 +10,6 @@ import (
 	"lamassu/internal/backend"
 	"lamassu/internal/cryptoutil"
 	"lamassu/internal/layout"
-	"lamassu/internal/metrics"
 	"lamassu/internal/vfs"
 )
 
@@ -417,11 +416,9 @@ func (f *file) fetchContig(ctx context.Context, p []byte, spans []vfs.Span, meta
 	f.fs.iow.acquire()
 	t := f.fs.cfg.Recorder.Start()
 	err := backend.ReadFullCtx(ctx, f.bf, slab[:readLen], geo.DataBlockOffset(spans[0].Index))
-	f.fs.cfg.Recorder.Stop(metrics.IO, t)
+	f.fs.ioDone(t, readLen, n*bs)
 	f.fs.iow.release()
-	f.fs.cfg.Recorder.CountIOBytes(int64(readLen))
-	f.fs.cfg.Recorder.CountDataBytes(int64(n*bs), int64(readLen))
-	f.fs.cfg.Recorder.CountEvent(metrics.ReadRun, 1)
+	f.fs.ctr.readRuns.Add(1)
 	done()
 	if err != nil {
 		return spans[0].BufOff, fmt.Errorf("lamassu: reading run of %d blocks at block %d: %w",
@@ -537,7 +534,7 @@ func (f *file) prefetch(db int64, n int) {
 	for i := range spans {
 		spans[i] = vfs.Span{Index: db + int64(i), Start: 0, Len: bs, BufOff: i * bs}
 	}
-	f.fs.cfg.Recorder.CountEvent(metrics.Prefetch, 1)
+	f.fs.ctr.prefetches.Add(1)
 	// Deliberately detached from any caller context: readahead is
 	// best-effort background work, and the read that armed it has
 	// already returned.
@@ -652,10 +649,8 @@ func (f *file) readBlockMeta(ctx context.Context, seg *segment, dbi int64, slot 
 	f.fs.iow.acquire()
 	t := f.fs.cfg.Recorder.Start()
 	err := backend.ReadFullCtx(ctx, f.bf, ct[:readLen], geo.DataBlockOffset(dbi))
-	f.fs.cfg.Recorder.Stop(metrics.IO, t)
+	f.fs.ioDone(t, readLen, bs)
 	f.fs.iow.release()
-	f.fs.cfg.Recorder.CountIOBytes(int64(readLen))
-	f.fs.cfg.Recorder.CountDataBytes(int64(bs), int64(readLen))
 	if err != nil {
 		return fmt.Errorf("lamassu: reading data block %d: %w", dbi, err)
 	}
@@ -970,7 +965,7 @@ func (f *file) shrink(ctx context.Context, newSize int64) error {
 		f.segs = make(map[int64]*segment)
 		t := f.fs.cfg.Recorder.Start()
 		err := f.bf.Truncate(0)
-		f.fs.cfg.Recorder.Stop(metrics.IO, t)
+		f.fs.ioDone(t, 0, 0)
 		// Post-truncate drop: a read that re-populated from the
 		// pre-truncate store while the cut was in flight must not
 		// survive it.
@@ -1003,7 +998,7 @@ func (f *file) shrink(ctx context.Context, newSize int64) error {
 	}
 	t := f.fs.cfg.Recorder.Start()
 	err = f.bf.Truncate(geo.PhysicalSize(newSize))
-	f.fs.cfg.Recorder.Stop(metrics.IO, t)
+	f.fs.ioDone(t, 0, 0)
 	// Post-truncate drop, as in the newSize == 0 branch above.
 	f.fs.cache.invalidateFile(f.name)
 	return err
@@ -1056,7 +1051,7 @@ func (f *file) SyncCtx(ctx context.Context) error {
 	}
 	t := f.fs.cfg.Recorder.Start()
 	err := backend.SyncCtx(ctx, f.bf)
-	f.fs.cfg.Recorder.Stop(metrics.IO, t)
+	f.fs.ioDone(t, 0, 0)
 	return err
 }
 

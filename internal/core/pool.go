@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 
 	"lamassu/internal/backend"
-	"lamassu/internal/metrics"
 )
 
 // pool bounds the number of goroutines one FS uses for per-block work:
@@ -23,10 +22,6 @@ import (
 type pool struct {
 	width int
 	sem   chan struct{}
-	// rec optionally mirrors the counters below into the latency
-	// recorder's event stream; counting happens only here so the two
-	// bookkeeping systems cannot drift.
-	rec *metrics.Recorder
 
 	// budgets, when non-nil, carves width into per-shard slices for
 	// admitShard batches: a task for shard s must hold both
@@ -59,11 +54,11 @@ type budget struct {
 
 // newPool returns a pool of the given width; width < 1 selects
 // GOMAXPROCS.
-func newPool(width int, rec *metrics.Recorder) *pool {
+func newPool(width int) *pool {
 	if width < 1 {
 		width = runtime.GOMAXPROCS(0)
 	}
-	p := &pool{width: width, rec: rec}
+	p := &pool{width: width}
 	if width > 1 {
 		p.sem = make(chan struct{}, width)
 	}
@@ -121,7 +116,6 @@ func (p *pool) noteShardRead(s int) func() {
 	b.queued.Add(1)
 	return func() {
 		b.tasks.Add(1)
-		p.rec.CountEvent(metrics.ShardRead, 1)
 		b.queued.Add(-1)
 	}
 }
@@ -185,11 +179,6 @@ func (p *pool) fanOut(ctx context.Context, n int, adm admission, shardOf func(in
 	if adm != admitNone {
 		p.batches.Add(1)
 		p.tasks.Add(int64(n))
-		p.rec.CountEvent(metrics.PoolBatch, 1)
-		p.rec.CountEvent(metrics.PoolTask, int64(n))
-	}
-	if b.budgets != nil {
-		p.rec.CountEvent(metrics.ShardTask, int64(n))
 	}
 	var lanes [][]int
 	if adm == admitNone && shardOf != nil {

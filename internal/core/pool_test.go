@@ -36,7 +36,7 @@ type fanRig struct {
 }
 
 func newFanRig(c fanCase, width int) *fanRig {
-	r := &fanRig{fanCase: c, p: newPool(width, nil), iow: newIOWindow(c.window)}
+	r := &fanRig{fanCase: c, p: newPool(width), iow: newIOWindow(c.window)}
 	if c.adm == admitShard {
 		r.p.carveBudgets(c.shards)
 	}
@@ -229,10 +229,10 @@ func TestPoolStopsDispatchOnCancel(t *testing.T) {
 }
 
 func TestPoolDefaultsToGOMAXPROCS(t *testing.T) {
-	if w := newPool(0, nil).Width(); w < 1 {
+	if w := newPool(0).Width(); w < 1 {
 		t.Fatalf("width %d", w)
 	}
-	if w := newPool(-3, nil).Width(); w < 1 {
+	if w := newPool(-3).Width(); w < 1 {
 		t.Fatalf("width %d", w)
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"lamassu/internal/backend"
 	"lamassu/internal/cryptoutil"
 	"lamassu/internal/layout"
-	"lamassu/internal/metrics"
 )
 
 // recoverSegment repairs a segment whose metadata block is marked
@@ -74,8 +73,7 @@ func (f *file) recoverSegment(ctx context.Context, meta *layout.MetaBlock) error
 		}
 		t := f.fs.cfg.Recorder.Start()
 		err := backend.ReadFullCtx(ctx, f.bf, ct, off)
-		f.fs.cfg.Recorder.Stop(metrics.IO, t)
-		f.fs.cfg.Recorder.CountIOBytes(int64(len(ct)))
+		f.fs.ioDone(t, len(ct), 0)
 		if err != nil {
 			return fmt.Errorf("lamassu: recovery read of block %d: %w", dbi, err)
 		}

@@ -3,8 +3,6 @@ package core
 import (
 	"sync"
 	"sync/atomic"
-
-	"lamassu/internal/metrics"
 )
 
 // slabPool recycles the block-granular scratch buffers of the engine's
@@ -25,14 +23,12 @@ import (
 // allocation-free, and the headers themselves are recycled through a
 // side pool for the same reason. Each class is a sync.Pool, so idle
 // slabs are reclaimed by the GC rather than pinned forever. Put slices
-// must not be retained by the caller afterwards. The counters feed the
-// SlabHit/SlabMiss metrics events and the pool hit rate exposed
-// through EngineStats.
+// must not be retained by the caller afterwards. The hit and miss
+// counters are the SlabHits/SlabMisses of EngineStats.
 type slabPool struct {
 	bs      int
 	classes []sync.Pool // class c: *[]byte with cap exactly bs<<c
 	headers sync.Pool   // spare *[]byte headers (slice nil)
-	rec     *metrics.Recorder
 
 	hits   atomic.Int64
 	misses atomic.Int64
@@ -41,7 +37,7 @@ type slabPool struct {
 // newSlabPool sizes the classes so the largest holds at least
 // maxBlocks blocks — a full segment's run slab for the configured
 // geometry (4 KiB blocks pool up to 4096<<7 = 512 KiB).
-func newSlabPool(blockSize, maxBlocks int, rec *metrics.Recorder) *slabPool {
+func newSlabPool(blockSize, maxBlocks int) *slabPool {
 	classes := 1
 	for size := blockSize; size < blockSize*maxBlocks; size <<= 1 {
 		classes++
@@ -49,7 +45,6 @@ func newSlabPool(blockSize, maxBlocks int, rec *metrics.Recorder) *slabPool {
 	return &slabPool{
 		bs:      blockSize,
 		classes: make([]sync.Pool, classes),
-		rec:     rec,
 	}
 }
 
@@ -77,12 +72,10 @@ func (p *slabPool) get(n int) []byte {
 			*h = nil
 			p.headers.Put(h)
 			p.hits.Add(1)
-			p.rec.CountEvent(metrics.SlabHit, 1)
 			return b[:n]
 		}
 	}
 	p.misses.Add(1)
-	p.rec.CountEvent(metrics.SlabMiss, 1)
 	if c < 0 {
 		return make([]byte, n)
 	}

@@ -4,17 +4,20 @@
 // I/O and Misc — where GetCEKey is dominated by the SHA-256 block
 // hash.
 //
-// A Recorder accumulates per-category wall time and operation counts.
-// The zero-value Recorder is valid and disabled-free: recording into a
-// nil *Recorder is a no-op, so the hot path can carry an optional
-// recorder without branching at every call site.
+// A Recorder accumulates per-category wall time and a high-level
+// operation count, from which per-op latency follows. It keeps nothing
+// else: the engine's counters (backend calls, runs, cache and slab
+// traffic, retries, hedges) live as plain atomics in the layer that
+// owns them and are live whether or not a Recorder is attached.
+// Recording into a nil *Recorder is a no-op, so the hot path can carry
+// an optional recorder without branching at every call site.
 package metrics
 
 import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -54,163 +57,11 @@ func Categories() []Category {
 	return []Category{Encrypt, Decrypt, GetCEKey, IO, Misc}
 }
 
-// Event labels a counted engine event. Unlike the latency categories,
-// events are pure counters: they track the concurrent engine's cache
-// effectiveness and worker-pool fan-out rather than wall time.
-type Event int
-
-// Events counted by the engine.
-const (
-	// CacheHit / CacheMiss count block-cache lookups (plaintext data
-	// blocks and decoded metadata blocks alike).
-	CacheHit Event = iota
-	CacheMiss
-	// PoolBatch counts fan-out invocations of the commit worker pool;
-	// PoolTask counts the individual per-block tasks it executed.
-	PoolBatch
-	PoolTask
-	// ShardTask counts commit tasks routed through a per-shard worker
-	// budget; ShardRead counts read-path backend fetches (runs of one
-	// or more blocks) fanned out across shards. Both zero on unsharded
-	// mounts.
-	ShardTask
-	ShardRead
-	// WriteRun / ReadRun count data-block backend I/Os: one WriteRun
-	// per run of adjacent data blocks written by a commit with a single
-	// WriteAt, one ReadRun per run of adjacent ciphertext blocks
-	// fetched by a multi-block read with a single backend read. With
-	// coalescing disabled every run is one block long.
-	WriteRun
-	ReadRun
-	// Prefetch counts asynchronous readahead fetches issued by the
-	// sequential-read detector.
-	Prefetch
-	// SlabHit / SlabMiss count slab-allocator requests served from the
-	// pool versus falling through to a fresh allocation.
-	SlabHit
-	SlabMiss
-	// FallbackRead counts dual-ring reads served by the previous
-	// epoch's owner during an online rebalance; MirrorWrite counts
-	// writes dual-written to it.
-	FallbackRead
-	MirrorWrite
-	// MoveCopy counts placement keys the online mover copied and
-	// confirmed; EpochBump counts committed layout epoch transitions.
-	MoveCopy
-	EpochBump
-	// RetryAttempt counts backend operations re-issued by a RetryStore
-	// after a retryable failure; RetryExhausted counts operations that
-	// still failed after the retry budget ran out.
-	RetryAttempt
-	RetryExhausted
-	// HedgeAttempt counts duplicate ranged reads issued by the hedged-
-	// read layer after its adaptive delay; HedgeWin counts hedges whose
-	// response beat the primary's.
-	HedgeAttempt
-	HedgeWin
-	// ReplicaWrite counts write fan-outs landed on non-primary replica
-	// owners; FailoverRead counts reads served by a replica after the
-	// preferred owner failed or was missing the copy.
-	ReplicaWrite
-	FailoverRead
-	// ScrubRepair counts replica copies re-established or corrected by
-	// the scrubber; BreakerOpen counts closed→open transitions of a
-	// shard slot's health breaker.
-	ScrubRepair
-	BreakerOpen
-	// BlockCompressed counts data blocks committed as a compressed
-	// prefix of their slot; RawEscape counts blocks the deterministic
-	// compressor could not shrink by at least one length unit, stored
-	// verbatim instead (so compression never costs bytes over raw).
-	BlockCompressed
-	RawEscape
-	numEvents
-)
-
-// String returns the event's label.
-func (e Event) String() string {
-	switch e {
-	case CacheHit:
-		return "CacheHit"
-	case CacheMiss:
-		return "CacheMiss"
-	case PoolBatch:
-		return "PoolBatch"
-	case PoolTask:
-		return "PoolTask"
-	case ShardTask:
-		return "ShardTask"
-	case ShardRead:
-		return "ShardRead"
-	case WriteRun:
-		return "WriteRun"
-	case ReadRun:
-		return "ReadRun"
-	case Prefetch:
-		return "Prefetch"
-	case SlabHit:
-		return "SlabHit"
-	case SlabMiss:
-		return "SlabMiss"
-	case FallbackRead:
-		return "FallbackRead"
-	case MirrorWrite:
-		return "MirrorWrite"
-	case MoveCopy:
-		return "MoveCopy"
-	case EpochBump:
-		return "EpochBump"
-	case RetryAttempt:
-		return "RetryAttempt"
-	case RetryExhausted:
-		return "RetryExhausted"
-	case HedgeAttempt:
-		return "HedgeAttempt"
-	case HedgeWin:
-		return "HedgeWin"
-	case ReplicaWrite:
-		return "ReplicaWrite"
-	case FailoverRead:
-		return "FailoverRead"
-	case ScrubRepair:
-		return "ScrubRepair"
-	case BreakerOpen:
-		return "BreakerOpen"
-	case BlockCompressed:
-		return "BlockCompressed"
-	case RawEscape:
-		return "RawEscape"
-	default:
-		return fmt.Sprintf("Event(%d)", int(e))
-	}
-}
-
-// AllEvents lists all events in display order.
-func AllEvents() []Event {
-	return []Event{CacheHit, CacheMiss, PoolBatch, PoolTask, ShardTask, ShardRead,
-		WriteRun, ReadRun, Prefetch, SlabHit, SlabMiss,
-		FallbackRead, MirrorWrite, MoveCopy, EpochBump,
-		RetryAttempt, RetryExhausted, HedgeAttempt, HedgeWin,
-		ReplicaWrite, FailoverRead, ScrubRepair, BreakerOpen,
-		BlockCompressed, RawEscape}
-}
-
 // Recorder accumulates time per category. All methods are safe for
 // concurrent use and are no-ops on a nil receiver.
 type Recorder struct {
-	mu      sync.Mutex
-	total   [numCategories]time.Duration
-	count   [numCategories]int64
-	events  [numEvents]int64
-	ops     int64
-	ioBytes int64
-	// logicalBytes / storedBytes track the data-path accounting the
-	// compression stage introduces: logical counts plaintext block
-	// bytes moved through the encode/decode pipeline, stored counts the
-	// bytes that actually hit (or came from) the backend for them.
-	// Without compression the two advance in lockstep.
-	logicalBytes int64
-	storedBytes  int64
+	total [numCategories]atomic.Int64 // nanoseconds
+	ops   atomic.Int64
 }
 
 // New returns an empty Recorder.
@@ -221,10 +72,7 @@ func (r *Recorder) Add(c Category, d time.Duration) {
 	if r == nil {
 		return
 	}
-	r.mu.Lock()
-	r.total[c] += d
-	r.count[c]++
-	r.mu.Unlock()
+	r.total[c].Add(int64(d))
 }
 
 // Time runs f and charges its wall time to category c.
@@ -265,71 +113,28 @@ func (r *Recorder) CountOp() {
 	if r == nil {
 		return
 	}
-	r.mu.Lock()
-	r.ops++
-	r.mu.Unlock()
-}
-
-// CountIOBytes adds n bytes to the backend-payload total. Together
-// with the I/O category's operation count it yields the mean bytes
-// moved per backend call — the coalescing layer's headline metric.
-func (r *Recorder) CountIOBytes(n int64) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.ioBytes += n
-	r.mu.Unlock()
-}
-
-// CountDataBytes records one data block (or batch) moving through the
-// encode/decode pipeline: logical plaintext bytes versus the stored
-// bytes that crossed the backend for them. The ratio of the two
-// totals is the live compression ratio.
-func (r *Recorder) CountDataBytes(logical, stored int64) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.logicalBytes += logical
-	r.storedBytes += stored
-	r.mu.Unlock()
-}
-
-// CountEvent adds n occurrences of event e.
-func (r *Recorder) CountEvent(e Event, n int64) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.events[e] += n
-	r.mu.Unlock()
+	r.ops.Add(1)
 }
 
 // Breakdown is an immutable snapshot of a Recorder.
 type Breakdown struct {
-	Total  [numCategories]time.Duration
-	Count  [numCategories]int64
-	Events [numEvents]int64
-	Ops    int64
-	// IOBytes is the total backend payload moved (reads + writes).
-	IOBytes int64
-	// LogicalBytes / StoredBytes are the data-path totals recorded by
-	// CountDataBytes: plaintext block bytes versus bytes on the wire
-	// for them.
-	LogicalBytes int64
-	StoredBytes  int64
+	Total [numCategories]time.Duration
+	Ops   int64
 }
 
-// Snapshot returns the current totals.
+// Snapshot returns the current totals. Each value is read atomically;
+// a snapshot taken under concurrent recording may split one operation's
+// categories across two snapshots.
 func (r *Recorder) Snapshot() Breakdown {
+	var b Breakdown
 	if r == nil {
-		return Breakdown{}
+		return b
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return Breakdown{Total: r.total, Count: r.count, Events: r.events, Ops: r.ops,
-		IOBytes: r.ioBytes, LogicalBytes: r.logicalBytes, StoredBytes: r.storedBytes}
+	for c := range b.Total {
+		b.Total[c] = time.Duration(r.total[c].Load())
+	}
+	b.Ops = r.ops.Load()
+	return b
 }
 
 // Reset zeroes the recorder.
@@ -337,42 +142,10 @@ func (r *Recorder) Reset() {
 	if r == nil {
 		return
 	}
-	r.mu.Lock()
-	r.total = [numCategories]time.Duration{}
-	r.count = [numCategories]int64{}
-	r.events = [numEvents]int64{}
-	r.ops = 0
-	r.ioBytes = 0
-	r.logicalBytes = 0
-	r.storedBytes = 0
-	r.mu.Unlock()
-}
-
-// Event returns the count of event e.
-func (b Breakdown) Event(e Event) int64 { return b.Events[e] }
-
-// IOs returns the number of backend I/O calls recorded (the I/O
-// category's operation count).
-func (b Breakdown) IOs() int64 { return b.Count[IO] }
-
-// BytesPerIO returns the mean payload per backend call, or 0 before
-// any I/O.
-func (b Breakdown) BytesPerIO() float64 {
-	if n := b.Count[IO]; n > 0 {
-		return float64(b.IOBytes) / float64(n)
+	for c := range r.total {
+		r.total[c].Store(0)
 	}
-	return 0
-}
-
-// CompressionRatio returns logical/stored — how many plaintext bytes
-// each stored byte carries. 1.0 with compression off (or on fully
-// incompressible data), >1 when compression is saving wire bytes, 0
-// before any data moved.
-func (b Breakdown) CompressionRatio() float64 {
-	if b.StoredBytes > 0 {
-		return float64(b.LogicalBytes) / float64(b.StoredBytes)
-	}
-	return 0
+	r.ops.Store(0)
 }
 
 // Sum returns the total time across all categories.

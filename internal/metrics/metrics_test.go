@@ -19,9 +19,6 @@ func TestAddAndSnapshot(t *testing.T) {
 	if b.Total[Encrypt] != 15*time.Millisecond {
 		t.Errorf("Encrypt total = %v", b.Total[Encrypt])
 	}
-	if b.Count[Encrypt] != 2 || b.Count[IO] != 1 {
-		t.Errorf("counts = %v", b.Count)
-	}
 	if b.Ops != 2 {
 		t.Errorf("ops = %d", b.Ops)
 	}
@@ -92,8 +89,8 @@ func TestConcurrentRecording(t *testing.T) {
 	}
 	wg.Wait()
 	b := r.Snapshot()
-	if b.Count[Encrypt] != 3200 || b.Ops != 3200 {
-		t.Fatalf("lost updates: count=%d ops=%d", b.Count[Encrypt], b.Ops)
+	if b.Ops != 3200 {
+		t.Fatalf("lost updates: ops=%d", b.Ops)
 	}
 	if b.Total[Encrypt] != 3200*time.Microsecond {
 		t.Fatalf("total = %v", b.Total[Encrypt])
@@ -138,41 +135,5 @@ func TestEmptyBreakdown(t *testing.T) {
 	var b Breakdown
 	if b.Fraction(IO) != 0 || b.PerOp(IO) != 0 || b.Sum() != 0 {
 		t.Fatalf("empty breakdown not zero")
-	}
-}
-
-func TestEventCounters(t *testing.T) {
-	r := New()
-	r.CountEvent(CacheHit, 3)
-	r.CountEvent(CacheMiss, 1)
-	r.CountEvent(PoolBatch, 2)
-	r.CountEvent(PoolTask, 16)
-	b := r.Snapshot()
-	want := map[Event]int64{CacheHit: 3, CacheMiss: 1, PoolBatch: 2, PoolTask: 16}
-	for _, e := range AllEvents() {
-		if got := b.Event(e); got != want[e] {
-			t.Errorf("%s = %d, want %d", e, got, want[e])
-		}
-	}
-	r.Reset()
-	if got := r.Snapshot().Event(CacheHit); got != 0 {
-		t.Errorf("after Reset: CacheHit = %d", got)
-	}
-	// Nil receiver must stay a no-op.
-	var nr *Recorder
-	nr.CountEvent(PoolTask, 5)
-	if got := nr.Snapshot().Event(PoolTask); got != 0 {
-		t.Errorf("nil recorder counted: %d", got)
-	}
-}
-
-func TestEventStrings(t *testing.T) {
-	for _, e := range AllEvents() {
-		if s := e.String(); s == "" || strings.HasPrefix(s, "Event(") {
-			t.Errorf("event %d has no label", int(e))
-		}
-	}
-	if s := Event(99).String(); s != "Event(99)" {
-		t.Errorf("unknown event = %q", s)
 	}
 }

@@ -9,7 +9,10 @@ import (
 	"fmt"
 	"net/http"
 	"sort"
+	"strconv"
 	"strings"
+
+	"lamassu"
 )
 
 // promWriter accumulates one exposition document. Metrics are emitted
@@ -83,8 +86,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	p.family("lamassu_serve_inflight_max", "gauge", "Admission bound (503s beyond this queue depth).")
 	p.sample("lamassu_serve_inflight_max", float64(ls.Max))
 
-	// Latency breakdown (metrics.Recorder categories; empty without
-	// CollectLatency).
+	// Latency breakdown (the Figure 9 categories; present only with
+	// CollectLatency, the one switch instrumentation has).
 	if slices := s.m.Latency(); len(slices) > 0 {
 		p.family("lamassu_latency_seconds_total", "counter", "Accumulated engine latency by category (paper Figure 9 breakdown).")
 		for _, sl := range slices {
@@ -92,8 +95,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	// Engine counters.
-	es := s.m.EngineStats()
+	// Engine, cache, pool and rebalance counters: one sample each.
+	es, cs, ps, rs := s.m.EngineStats(), s.m.CacheStats(), s.m.PoolStats(), s.m.RebalanceStatus()
 	for _, m := range []struct {
 		name, typ, help string
 		v               float64
@@ -123,88 +126,87 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		{"lamassu_failover_reads_total", "counter", "Reads served by a replica after the preferred copy failed.", float64(es.FailoverReads)},
 		{"lamassu_scrub_repairs_total", "counter", "Replica copies re-created or rewritten by scrub.", float64(es.ScrubRepairs)},
 		{"lamassu_breaker_opens_total", "counter", "Shard-health breaker openings.", float64(es.BreakerOpens)},
+		{"lamassu_cache_capacity", "gauge", "Configured block-cache capacity (entries).", float64(cs.Capacity)},
+		{"lamassu_cache_entries", "gauge", "Cached blocks right now.", float64(cs.Entries)},
+		{"lamassu_cache_hits_total", "counter", "Block-cache hits.", float64(cs.Hits)},
+		{"lamassu_cache_misses_total", "counter", "Block-cache misses.", float64(cs.Misses)},
+		{"lamassu_pool_width", "gauge", "Commit worker-pool concurrency bound.", float64(ps.Width)},
+		{"lamassu_pool_batches_total", "counter", "Commit fan-out invocations.", float64(ps.Batches)},
+		{"lamassu_pool_tasks_total", "counter", "Per-block pool tasks executed.", float64(ps.Tasks)},
+		{"lamassu_rebalance_active", "gauge", "1 while a placement migration is in progress.", boolGauge(rs.Active)},
+		{"lamassu_rebalance_mover_running", "gauge", "1 while the migration's background mover is copying.", boolGauge(rs.MoverRunning)},
+		{"lamassu_rebalance_epoch", "gauge", "Settled placement epoch being served.", float64(rs.Epoch)},
+		{"lamassu_rebalance_target_epoch", "gauge", "Epoch being migrated to (0 unless a migration is active).", float64(rs.TargetEpoch)},
+		{"lamassu_rebalance_total_keys", "gauge", "Placement keys the current migration must relocate, as discovered so far.", float64(rs.TotalKeys)},
+		{"lamassu_rebalance_moved_keys_total", "counter", "Keys confirmed moved by the current migration.", float64(rs.MovedKeys)},
+		{"lamassu_rebalance_moved_bytes_total", "counter", "Bytes copied by the current migration.", float64(rs.MovedBytes)},
+		{"lamassu_rebalance_fallback_reads_total", "counter", "Dual-ring reads served by the previous epoch's owner.", float64(rs.FallbackReads)},
+		{"lamassu_rebalance_mirrored_writes_total", "counter", "Writes dual-written to the previous epoch's owner.", float64(rs.MirroredWrites)},
 	} {
 		p.family(m.name, m.typ, m.help)
 		p.sample(m.name, m.v)
 	}
 
-	// Cache and pool.
-	cs := s.m.CacheStats()
-	p.family("lamassu_cache_capacity", "gauge", "Configured block-cache capacity (entries).")
-	p.sample("lamassu_cache_capacity", float64(cs.Capacity))
-	p.family("lamassu_cache_entries", "gauge", "Cached blocks right now.")
-	p.sample("lamassu_cache_entries", float64(cs.Entries))
-	p.family("lamassu_cache_hits_total", "counter", "Block-cache hits.")
-	p.sample("lamassu_cache_hits_total", float64(cs.Hits))
-	p.family("lamassu_cache_misses_total", "counter", "Block-cache misses.")
-	p.sample("lamassu_cache_misses_total", float64(cs.Misses))
-	ps := s.m.PoolStats()
-	p.family("lamassu_pool_width", "gauge", "Commit worker-pool concurrency bound.")
-	p.sample("lamassu_pool_width", float64(ps.Width))
-	p.family("lamassu_pool_batches_total", "counter", "Commit fan-out invocations.")
-	p.sample("lamassu_pool_batches_total", float64(ps.Batches))
-	p.family("lamassu_pool_tasks_total", "counter", "Per-block pool tasks executed.")
-	p.sample("lamassu_pool_tasks_total", float64(ps.Tasks))
-
-	// Per-shard traffic and health (sharded mounts only).
-	if ss := s.m.ShardStats(); len(ss) > 0 {
-		p.family("lamassu_shard_reads_total", "counter", "Backend reads routed to the shard.")
-		for _, st := range ss {
-			p.sample("lamassu_shard_reads_total", float64(st.Reads), "shard", fmt.Sprint(st.Shard))
-		}
-		p.family("lamassu_shard_writes_total", "counter", "Backend writes routed to the shard.")
-		for _, st := range ss {
-			p.sample("lamassu_shard_writes_total", float64(st.Writes), "shard", fmt.Sprint(st.Shard))
-		}
-		p.family("lamassu_shard_bytes_read_total", "counter", "Bytes read from the shard.")
-		for _, st := range ss {
-			p.sample("lamassu_shard_bytes_read_total", float64(st.BytesRead), "shard", fmt.Sprint(st.Shard))
-		}
-		p.family("lamassu_shard_bytes_written_total", "counter", "Bytes written to the shard.")
-		for _, st := range ss {
-			p.sample("lamassu_shard_bytes_written_total", float64(st.BytesWritten), "shard", fmt.Sprint(st.Shard))
-		}
-		p.family("lamassu_shard_queue_depth", "gauge", "Tasks queued or running for the shard now.")
-		for _, st := range ss {
-			p.sample("lamassu_shard_queue_depth", float64(st.QueueDepth), "shard", fmt.Sprint(st.Shard))
-		}
+	// Per-shard traffic, budget and health (sharded mounts only).
+	ss := s.m.ShardStats()
+	for _, f := range []struct {
+		name, typ, help string
+		v               func(lamassu.ShardStat) float64
+	}{
+		{"lamassu_shard_reads_total", "counter", "Backend reads routed to the shard.", func(st lamassu.ShardStat) float64 { return float64(st.Reads) }},
+		{"lamassu_shard_writes_total", "counter", "Backend writes routed to the shard.", func(st lamassu.ShardStat) float64 { return float64(st.Writes) }},
+		{"lamassu_shard_syncs_total", "counter", "Backend syncs routed to the shard.", func(st lamassu.ShardStat) float64 { return float64(st.Syncs) }},
+		{"lamassu_shard_bytes_read_total", "counter", "Bytes read from the shard.", func(st lamassu.ShardStat) float64 { return float64(st.BytesRead) }},
+		{"lamassu_shard_bytes_written_total", "counter", "Bytes written to the shard.", func(st lamassu.ShardStat) float64 { return float64(st.BytesWritten) }},
+		{"lamassu_shard_budget", "gauge", "The shard's slice of the commit worker pool.", func(st lamassu.ShardStat) float64 { return float64(st.Budget) }},
+		{"lamassu_shard_tasks_total", "counter", "Commit tasks and read fetches executed for the shard this epoch.", func(st lamassu.ShardStat) float64 { return float64(st.Tasks) }},
+		{"lamassu_shard_queue_depth", "gauge", "Tasks queued or running for the shard now.", func(st lamassu.ShardStat) float64 { return float64(st.QueueDepth) }},
+	} {
+		series(p, f.name, f.typ, f.help, "shard", ss, f.v)
 	}
-	if hs := s.m.ShardHealth(); len(hs) > 0 {
-		p.family("lamassu_shard_failures_total", "counter", "Health-relevant failures on the shard slot.")
-		for _, h := range hs {
-			p.sample("lamassu_shard_failures_total", float64(h.Failures), "shard", fmt.Sprint(h.Shard))
-		}
-		p.family("lamassu_shard_breaker_open", "gauge", "1 when the slot is exiled to half-open probing.")
-		for _, h := range hs {
-			v := 0.0
-			if h.BreakerOpen {
-				v = 1
-			}
-			p.sample("lamassu_shard_breaker_open", v, "shard", fmt.Sprint(h.Shard))
-		}
+	hs := s.m.ShardHealth()
+	for _, f := range []struct {
+		name, typ, help string
+		v               func(lamassu.ShardHealth) float64
+	}{
+		{"lamassu_shard_failures_total", "counter", "Health-relevant failures on the shard slot.", func(h lamassu.ShardHealth) float64 { return float64(h.Failures) }},
+		{"lamassu_shard_successes_total", "counter", "Health-relevant successes on the shard slot.", func(h lamassu.ShardHealth) float64 { return float64(h.Successes) }},
+		{"lamassu_shard_consecutive_failures", "gauge", "Current failure streak on the shard slot.", func(h lamassu.ShardHealth) float64 { return float64(h.ConsecutiveFailures) }},
+		{"lamassu_shard_breaker_open", "gauge", "1 when the slot is exiled to half-open probing.", func(h lamassu.ShardHealth) float64 { return boolGauge(h.BreakerOpen) }},
+	} {
+		series(p, f.name, f.typ, f.help, "shard", hs, f.v)
 	}
 
 	// Hedged-read per-store breakdown.
-	if hrs := s.m.HedgedReadStats(); len(hrs) > 0 {
-		p.family("lamassu_hedge_store_reads_total", "counter", "Reads issued through the hedging wrapper, per store.")
-		for i, h := range hrs {
-			p.sample("lamassu_hedge_store_reads_total", float64(h.Reads), "store", fmt.Sprint(i))
-		}
+	hrs := s.m.HedgedReadStats()
+	for _, f := range []struct {
+		name, typ, help string
+		v               func(lamassu.HedgedReadStats) float64
+	}{
+		{"lamassu_hedge_store_reads_total", "counter", "Reads issued through the hedging wrapper, per store.", func(h lamassu.HedgedReadStats) float64 { return float64(h.Reads) }},
+		{"lamassu_hedge_store_hedges_total", "counter", "Duplicate reads the hedge delay triggered, per store.", func(h lamassu.HedgedReadStats) float64 { return float64(h.Hedges) }},
+		{"lamassu_hedge_store_wins_total", "counter", "Hedges whose response beat the primary, per store.", func(h lamassu.HedgedReadStats) float64 { return float64(h.HedgeWins) }},
+		{"lamassu_hedge_store_read_p50_seconds", "gauge", "Observed backend read-latency p50, per store.", func(h lamassu.HedgedReadStats) float64 { return h.P50.Seconds() }},
+		{"lamassu_hedge_store_read_p99_seconds", "gauge", "Observed backend read-latency p99, per store.", func(h lamassu.HedgedReadStats) float64 { return h.P99.Seconds() }},
+	} {
+		series(p, f.name, f.typ, f.help, "store", hrs, f.v)
 	}
-
-	// Rebalance / migration progress.
-	rs := s.m.RebalanceStatus()
-	p.family("lamassu_rebalance_active", "gauge", "1 while a placement migration is in progress.")
-	p.sample("lamassu_rebalance_active", boolGauge(rs.Active))
-	p.family("lamassu_rebalance_epoch", "gauge", "Settled placement epoch being served.")
-	p.sample("lamassu_rebalance_epoch", float64(rs.Epoch))
-	p.family("lamassu_rebalance_moved_keys_total", "counter", "Keys confirmed moved by the current migration.")
-	p.sample("lamassu_rebalance_moved_keys_total", float64(rs.MovedKeys))
-	p.family("lamassu_rebalance_moved_bytes_total", "counter", "Bytes copied by the current migration.")
-	p.sample("lamassu_rebalance_moved_bytes_total", float64(rs.MovedBytes))
 
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	_, _ = w.Write([]byte(p.b.String()))
+}
+
+// series emits one family with a sample per entry of a per-shard or
+// per-store breakdown, labeled by the entry's index; nothing when the
+// breakdown is empty.
+func series[T any](p *promWriter, name, typ, help, label string, entries []T, v func(T) float64) {
+	if len(entries) == 0 {
+		return
+	}
+	p.family(name, typ, help)
+	for i, e := range entries {
+		p.sample(name, v(e), label, strconv.Itoa(i))
+	}
 }
 
 func boolGauge(b bool) float64 {

@@ -7,6 +7,7 @@ import (
 	"bytes"
 	"fmt"
 	"net/http"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -168,6 +169,140 @@ func TestPromLabel(t *testing.T) {
 	} {
 		if got := promLabel(in); got != want {
 			t.Errorf("promLabel(%q) = %q, want %q", in, got, want)
+		}
+	}
+}
+
+// TestMetricsCompleteness: every numeric or bool field of the stats
+// types a Mount reports has a lamassu_ family on /metrics. A field
+// added to one of these types fails here until it is exported (or,
+// if it is derived, listed as exempt).
+func TestMetricsCompleteness(t *testing.T) {
+	keys, err := lamassu.GenerateKeys()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sharded, err := lamassu.NewShardedStorage(
+		[]lamassu.Storage{lamassu.NewMemStorage(), lamassu.NewMemStorage()},
+		&lamassu.ShardOptions{Replicas: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Sharded, replicated and hedged, so the per-shard and per-store
+	// breakdowns are non-empty and render.
+	m, err := lamassu.New(sharded, keys,
+		lamassu.WithEncryptedNames(),
+		lamassu.WithReplication(2),
+		lamassu.WithHedgedReads(lamassu.HedgePolicy{}),
+		lamassu.WithCache(16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = m.Close() })
+	_, hs := newTestServer(t, Config{Mount: m})
+	resp, body := doReq(t, "PUT", hs.URL+"/v1/files/c.bin", tokAlice, make([]byte, 8192), nil)
+	wantStatus(t, resp, body, http.StatusNoContent)
+	resp, body = doReq(t, "GET", hs.URL+"/metrics", "", nil, nil)
+	wantStatus(t, resp, body, http.StatusOK)
+	text := string(body)
+
+	family := map[string]string{
+		"EngineStats.BackendIOs":          "lamassu_backend_ios_total",
+		"EngineStats.IOBytes":             "lamassu_backend_io_bytes_total",
+		"EngineStats.WriteRuns":           "lamassu_backend_write_runs_total",
+		"EngineStats.ReadRuns":            "lamassu_backend_read_runs_total",
+		"EngineStats.Prefetches":          "lamassu_backend_prefetches_total",
+		"EngineStats.SlabHits":            "lamassu_slab_hits_total",
+		"EngineStats.SlabMisses":          "lamassu_slab_misses_total",
+		"EngineStats.RetryAttempts":       "lamassu_retry_attempts_total",
+		"EngineStats.RetriesExhausted":    "lamassu_retries_exhausted_total",
+		"EngineStats.IOWindow":            "lamassu_io_window",
+		"EngineStats.IOInFlight":          "lamassu_io_inflight",
+		"EngineStats.IOPeakInFlight":      "lamassu_io_inflight_peak",
+		"EngineStats.HedgeAttempts":       "lamassu_hedge_attempts_total",
+		"EngineStats.HedgeWins":           "lamassu_hedge_wins_total",
+		"EngineStats.ReadP50":             "lamassu_read_p50_seconds",
+		"EngineStats.ReadP99":             "lamassu_read_p99_seconds",
+		"EngineStats.LogicalBytes":        "lamassu_logical_bytes_total",
+		"EngineStats.StoredBytes":         "lamassu_stored_bytes_total",
+		"EngineStats.CompressedBlocks":    "lamassu_compressed_blocks_total",
+		"EngineStats.RawEscapes":          "lamassu_raw_escapes_total",
+		"EngineStats.ReplicaWrites":       "lamassu_replica_writes_total",
+		"EngineStats.FailoverReads":       "lamassu_failover_reads_total",
+		"EngineStats.ScrubRepairs":        "lamassu_scrub_repairs_total",
+		"EngineStats.BreakerOpens":        "lamassu_breaker_opens_total",
+		"CacheStats.Capacity":             "lamassu_cache_capacity",
+		"CacheStats.Entries":              "lamassu_cache_entries",
+		"CacheStats.Hits":                 "lamassu_cache_hits_total",
+		"CacheStats.Misses":               "lamassu_cache_misses_total",
+		"PoolStats.Width":                 "lamassu_pool_width",
+		"PoolStats.Batches":               "lamassu_pool_batches_total",
+		"PoolStats.Tasks":                 "lamassu_pool_tasks_total",
+		"ShardStat.Reads":                 "lamassu_shard_reads_total",
+		"ShardStat.Writes":                "lamassu_shard_writes_total",
+		"ShardStat.Syncs":                 "lamassu_shard_syncs_total",
+		"ShardStat.BytesRead":             "lamassu_shard_bytes_read_total",
+		"ShardStat.BytesWritten":          "lamassu_shard_bytes_written_total",
+		"ShardStat.Budget":                "lamassu_shard_budget",
+		"ShardStat.Tasks":                 "lamassu_shard_tasks_total",
+		"ShardStat.QueueDepth":            "lamassu_shard_queue_depth",
+		"ShardHealth.Failures":            "lamassu_shard_failures_total",
+		"ShardHealth.Successes":           "lamassu_shard_successes_total",
+		"ShardHealth.ConsecutiveFailures": "lamassu_shard_consecutive_failures",
+		"ShardHealth.BreakerOpen":         "lamassu_shard_breaker_open",
+		"RebalanceStatus.Active":          "lamassu_rebalance_active",
+		"RebalanceStatus.MoverRunning":    "lamassu_rebalance_mover_running",
+		"RebalanceStatus.Epoch":           "lamassu_rebalance_epoch",
+		"RebalanceStatus.TargetEpoch":     "lamassu_rebalance_target_epoch",
+		"RebalanceStatus.TotalKeys":       "lamassu_rebalance_total_keys",
+		"RebalanceStatus.MovedKeys":       "lamassu_rebalance_moved_keys_total",
+		"RebalanceStatus.MovedBytes":      "lamassu_rebalance_moved_bytes_total",
+		"RebalanceStatus.FallbackReads":   "lamassu_rebalance_fallback_reads_total",
+		"RebalanceStatus.MirroredWrites":  "lamassu_rebalance_mirrored_writes_total",
+		"HedgedReadStats.Reads":           "lamassu_hedge_store_reads_total",
+		"HedgedReadStats.Hedges":          "lamassu_hedge_store_hedges_total",
+		"HedgedReadStats.HedgeWins":       "lamassu_hedge_store_wins_total",
+		"HedgedReadStats.P50":             "lamassu_hedge_store_read_p50_seconds",
+		"HedgedReadStats.P99":             "lamassu_hedge_store_read_p99_seconds",
+	}
+	// Derived values and label indices carry no family of their own.
+	exempt := map[string]bool{
+		"EngineStats.BytesPerIO": true, // IOBytes / BackendIOs
+		"ShardStat.Shard":        true, // the shard label
+		"ShardHealth.Shard":      true, // the shard label
+	}
+	seen := map[string]bool{}
+	for _, typ := range []reflect.Type{
+		reflect.TypeOf(lamassu.EngineStats{}), reflect.TypeOf(lamassu.CacheStats{}),
+		reflect.TypeOf(lamassu.PoolStats{}), reflect.TypeOf(lamassu.ShardStat{}),
+		reflect.TypeOf(lamassu.ShardHealth{}), reflect.TypeOf(lamassu.RebalanceStatus{}),
+		reflect.TypeOf(lamassu.HedgedReadStats{}),
+	} {
+		for i := 0; i < typ.NumField(); i++ {
+			f := typ.Field(i)
+			switch f.Type.Kind() {
+			case reflect.Bool, reflect.Int, reflect.Int64, reflect.Uint64, reflect.Float64:
+			default:
+				t.Fatalf("%s.%s has kind %s; teach this test about it", typ.Name(), f.Name, f.Type.Kind())
+			}
+			key := typ.Name() + "." + f.Name
+			seen[key] = true
+			if exempt[key] {
+				continue
+			}
+			name, ok := family[key]
+			if !ok {
+				t.Errorf("%s has no /metrics family", key)
+				continue
+			}
+			if !strings.Contains(text, "# TYPE "+name+" ") {
+				t.Errorf("%s: family %s missing from /metrics", key, name)
+			}
+		}
+	}
+	for key := range family {
+		if !seen[key] {
+			t.Errorf("family table names %s, which is not a stats field", key)
 		}
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"sync"
 
 	"lamassu/internal/backend"
-	"lamassu/internal/metrics"
 )
 
 // file is an open handle to one (possibly striped) backing file. The
@@ -325,7 +324,7 @@ func (f *file) readChunkReplicated(ctx context.Context, t *topology, chunk []byt
 			// serve — whether it failed just now (attempts > 0) or is
 			// exiled by its breaker and was never tried.
 			if attempts > 0 || sl != pref {
-				s.noteFailoverRead()
+				s.failoverReads.Add(1)
 			}
 			return m, true, rerr, true
 		}
@@ -620,7 +619,7 @@ func (f *file) writeRangeReplicated(ctx context.Context, t *topology, chunk []by
 						n = r.n
 					}
 					if sl != group[0] {
-						s.noteReplicaWrite()
+						s.replicaWrites.Add(1)
 					}
 					continue
 				}
@@ -949,13 +948,7 @@ func (f *file) Close() error {
 
 // noteFallback counts one dual-ring read served by the previous
 // epoch's owner.
-func (m *migration) noteFallback() {
-	m.fallbackReads.Add(1)
-	m.rec.CountEvent(metrics.FallbackRead, 1)
-}
+func (m *migration) noteFallback() { m.fallbackReads.Add(1) }
 
 // noteMirror counts one write mirrored to the previous epoch's owner.
-func (m *migration) noteMirror() {
-	m.mirrorWrites.Add(1)
-	m.rec.CountEvent(metrics.MirrorWrite, 1)
-}
+func (m *migration) noteMirror() { m.mirrorWrites.Add(1) }

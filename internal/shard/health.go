@@ -104,7 +104,7 @@ func (s *Store) Health() []ShardHealth {
 // the breaker transition if this failure opened it.
 func (s *Store) slotFailed(t *topology, slot int) {
 	if t.health[slot].fail() {
-		s.noteBreakerOpen()
+		s.breakerOpens.Add(1)
 	}
 }
 

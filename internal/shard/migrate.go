@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 
 	"lamassu/internal/backend"
-	"lamassu/internal/metrics"
 	"lamassu/internal/shard/layout"
 )
 
@@ -31,7 +30,6 @@ import (
 //     it converges.
 type migration struct {
 	prev *layout.Layout
-	rec  *metrics.Recorder
 	// invalidate, when non-nil, brackets the mover's per-file copies:
 	// it is called before the first and after the last stripe of a
 	// file moves, so a block cache above the store can drop entries
@@ -83,7 +81,6 @@ func (m *migration) confirm(key string) {
 	m.moved[key] = true
 	m.mu.Unlock()
 	m.movedKeys.Add(1)
-	m.rec.CountEvent(metrics.MoveCopy, 1)
 }
 
 // forgetName drops the confirmations and locks of every key derived
@@ -122,11 +119,8 @@ func (m *migration) fileLock(name string) *sync.Mutex {
 	return l
 }
 
-// MigrateHooks configures the observability side of a migration.
+// MigrateHooks lets the layers above a migration follow its copies.
 type MigrateHooks struct {
-	// Recorder receives FallbackRead / MirrorWrite / MoveCopy /
-	// EpochBump events; nil disables them.
-	Recorder *metrics.Recorder
 	// Invalidate brackets each file's relocation (called before the
 	// first and after the last key of the file moves) so caches above
 	// the store can drop entries around the window.
@@ -204,7 +198,6 @@ func (s *Store) BeginMigration(ctx context.Context, newStores []backend.Store, h
 				return fmt.Errorf("shard: store %d differs from the in-progress migration's target", i)
 			}
 		}
-		t.mig.rec = h.Recorder
 		t.mig.invalidate = h.Invalidate
 		t.mig.onKeyMoved = h.OnKeyMoved
 		return nil
@@ -250,7 +243,6 @@ func (s *Store) BeginMigration(ctx context.Context, newStores []backend.Store, h
 		}
 	}
 	mig := newMigration(t.lay)
-	mig.rec = h.Recorder
 	mig.invalidate = h.Invalidate
 	mig.onKeyMoved = h.OnKeyMoved
 	// Copy before growing: older topology snapshots still held by
@@ -691,7 +683,6 @@ func (s *Store) commitEpoch(ctx context.Context, t *topology, st *RebalanceStats
 		health: append([]*slotHealth(nil), t.health[:len(cur)]...),
 	})
 	s.routeGen.Add(1)
-	mig.rec.CountEvent(metrics.EpochBump, 1)
 	return nil
 }
 

@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 
 	"lamassu/internal/backend"
-	"lamassu/internal/metrics"
 	"lamassu/internal/shard/layout"
 )
 
@@ -176,37 +175,11 @@ type Store struct {
 	// its per-key lock so a repair copy cannot interleave with a live
 	// write of the same key.
 	scrub atomic.Pointer[scrubState]
-	// rec is the optional metrics recorder for replication events
-	// (nil-safe; migrations carry their own via MigrateHooks).
-	rec atomic.Pointer[metrics.Recorder]
-	// Replication event counters (always live, recorder or not).
+	// Replication event counters.
 	replicaWrites, failoverReads, scrubRepairs, breakerOpens atomic.Int64
 }
 
-// SetRecorder attaches a metrics recorder to the store's replication
-// events (ReplicaWrite, FailoverRead, ScrubRepair, BreakerOpen). A nil
-// recorder detaches.
-func (s *Store) SetRecorder(rec *metrics.Recorder) { s.rec.Store(rec) }
-
-func (s *Store) noteReplicaWrite() {
-	s.replicaWrites.Add(1)
-	s.rec.Load().CountEvent(metrics.ReplicaWrite, 1)
-}
-
-func (s *Store) noteFailoverRead() {
-	s.failoverReads.Add(1)
-	s.rec.Load().CountEvent(metrics.FailoverRead, 1)
-}
-
-func (s *Store) noteScrubRepair() {
-	s.scrubRepairs.Add(1)
-	s.rec.Load().CountEvent(metrics.ScrubRepair, 1)
-}
-
-func (s *Store) noteBreakerOpen() {
-	s.breakerOpens.Add(1)
-	s.rec.Load().CountEvent(metrics.BreakerOpen, 1)
-}
+func (s *Store) noteScrubRepair() { s.scrubRepairs.Add(1) }
 
 // ReplicationStats is a snapshot of the store's replication counters.
 type ReplicationStats struct {

@@ -207,8 +207,8 @@ type Options struct {
 	ReservedSlots int
 	// Integrity selects the read-path verification level.
 	Integrity Integrity
-	// CollectLatency enables the Figure 9 latency-breakdown
-	// instrumentation, retrievable via Mount.Latency.
+	// CollectLatency enables the Figure 9 latency-breakdown timing,
+	// retrievable via Mount.Latency.
 	CollectLatency bool
 	// EncryptNames additionally encrypts file and directory names on
 	// the backing store (deterministic SIV-style, per path segment) —
@@ -345,9 +345,11 @@ type Mount struct {
 	rec    *metrics.Recorder
 	closed atomic.Bool
 
-	// hedges collects the hedged-read wrappers this mount created (nil
-	// without Options.Hedge); see hedging.go.
-	hedges *hedgeRegistry
+	// hedges and retries collect the hedged-read and retry wrappers
+	// this mount created (nil without Options.Hedge / Options.Retry);
+	// see hedging.go.
+	hedges  *registry[*hedge.Store]
+	retries *registry[*backend.RetryStore]
 
 	// Sharded-mount state for online rebalance (nil fields otherwise):
 	// shard is the mounted sharded store, shardUser the user-visible
@@ -436,21 +438,18 @@ func NewMount(store Storage, keys KeyPair, opts *Options) (*Mount, error) {
 	// name encryption outermost. It is also applied to stores that join
 	// the deployment later via StartRebalance.
 	wrapNew := func(st backend.Store) backend.Store { return st }
-	var hedges *hedgeRegistry
+	var hedges *registry[*hedge.Store]
 	if o.Hedge != nil {
-		hedges = &hedgeRegistry{}
-		pol := o.Hedge.backendPolicy(rec)
-		reg := hedges
-		wrapNew = func(st backend.Store) backend.Store {
-			hs := hedge.New(st, pol)
-			reg.add(hs)
-			return hs
-		}
+		hedges = &registry[*hedge.Store]{}
+		pol := o.Hedge.backendPolicy()
+		wrapNew = func(st backend.Store) backend.Store { return hedges.add(hedge.New(st, pol)) }
 	}
+	var retries *registry[*backend.RetryStore]
 	if o.Retry != nil {
-		pol := o.Retry.backendPolicy(rec)
+		retries = &registry[*backend.RetryStore]{}
+		pol := o.Retry.backendPolicy()
 		inner := wrapNew
-		wrapNew = func(st backend.Store) backend.Store { return backend.NewRetryStore(inner(st), pol) }
+		wrapNew = func(st backend.Store) backend.Store { return retries.add(backend.NewRetryStore(inner(st), pol)) }
 	}
 	if o.EncryptNames {
 		nameKey := cryptoutil.DeriveSubKey(keys.Outer, "lamassu-name-encryption")
@@ -507,10 +506,6 @@ func NewMount(store Storage, keys KeyPair, opts *Options) (*Mount, error) {
 		}
 	}
 	if shardStore != nil {
-		// Replication events (replica writes, failover reads, scrub
-		// repairs, breaker transitions) flow into the mount's recorder;
-		// the raw counters stay live on the store regardless.
-		shardStore.SetRecorder(rec)
 		if sb := shardStore.StripeBytes(); sb > 0 && sb%int64(geo.BlockSize) != 0 {
 			return nil, fmt.Errorf("lamassu: shard stripe %d is not a multiple of the block size %d", sb, geo.BlockSize)
 		}
@@ -551,6 +546,7 @@ func NewMount(store Storage, keys KeyPair, opts *Options) (*Mount, error) {
 		fs:        fs,
 		rec:       rec,
 		hedges:    hedges,
+		retries:   retries,
 		shard:     shardStore,
 		shardUser: userStores,
 		wrapStore: wrapNew,
@@ -728,17 +724,15 @@ type PoolStats = core.PoolStats
 // PoolStats reports the mount's commit fan-out activity.
 func (m *Mount) PoolStats() PoolStats { return m.fs.PoolStats() }
 
-// EngineStats is a snapshot of the engine counters behind the Figure 9
-// latency breakdown: how many backend calls the mount issued, how much
-// payload they moved, and how well the coalescing layer and slab
-// allocator are doing. The recorder-backed counters (BackendIOs
-// through RetriesExhausted) are zero unless the mount was created with
-// Options.CollectLatency; the I/O-window gauges and hedged-read
-// counters are live regardless, since they come from the window and
-// the hedging wrappers themselves.
+// EngineStats is a snapshot of the engine counters: how many backend
+// calls the mount issued, how much payload they moved, and how well
+// the coalescing layer, slab allocator and backend wrappers are doing.
+// Each field is read from the layer that owns it — core, the slab
+// pool, the I/O window, the retry and hedging wrappers, the shard
+// store — and is live whatever the mount's options.
 type EngineStats struct {
 	// BackendIOs counts backend calls (reads, writes, truncates,
-	// syncs) the engine timed under the I/O category.
+	// syncs) the engine issued.
 	BackendIOs int64
 	// IOBytes is the total payload moved by those calls; BytesPerIO is
 	// the mean payload per call — the coalescing layer's headline
@@ -780,8 +774,7 @@ type EngineStats struct {
 	// as actually put on (or fetched off) the wire after compression.
 	// Equal with compression off; their ratio is the live compression
 	// ratio. CompressedBlocks counts blocks stored compressed;
-	// RawEscapes counts incompressible blocks stored verbatim. All four
-	// zero without Options.CollectLatency.
+	// RawEscapes counts incompressible blocks stored verbatim.
 	LogicalBytes, StoredBytes    int64
 	CompressedBlocks, RawEscapes int64
 	// ReplicaWrites counts writes landed on non-primary replica copies
@@ -789,8 +782,7 @@ type EngineStats struct {
 	// replica served after the preferred copy failed or was missing;
 	// ScrubRepairs counts copies Mount.Scrub re-created or rewrote;
 	// BreakerOpens counts shard-health breaker openings (see
-	// Mount.ShardHealth). Live regardless of CollectLatency; all zero
-	// without replication.
+	// Mount.ShardHealth). All zero without replication.
 	ReplicaWrites, FailoverReads int64
 	ScrubRepairs, BreakerOpens   int64
 }
@@ -815,30 +807,28 @@ func (s EngineStats) SlabHitRate() float64 {
 	return 0
 }
 
-// EngineStats reports the mount's I/O and allocator counters. The
-// recorder-backed fields are zero unless the mount was created with
-// Options.CollectLatency; the I/O-window and hedged-read fields are
-// always live.
+// EngineStats reports the mount's I/O and allocator counters.
 func (m *Mount) EngineStats() EngineStats {
-	var s EngineStats
-	if m.rec != nil {
-		b := m.rec.Snapshot()
-		s = EngineStats{
-			BackendIOs:       b.IOs(),
-			IOBytes:          b.IOBytes,
-			BytesPerIO:       b.BytesPerIO(),
-			WriteRuns:        b.Event(metrics.WriteRun),
-			ReadRuns:         b.Event(metrics.ReadRun),
-			Prefetches:       b.Event(metrics.Prefetch),
-			SlabHits:         b.Event(metrics.SlabHit),
-			SlabMisses:       b.Event(metrics.SlabMiss),
-			RetryAttempts:    b.Event(metrics.RetryAttempt),
-			RetriesExhausted: b.Event(metrics.RetryExhausted),
-			LogicalBytes:     b.LogicalBytes,
-			StoredBytes:      b.StoredBytes,
-			CompressedBlocks: b.Event(metrics.BlockCompressed),
-			RawEscapes:       b.Event(metrics.RawEscape),
-		}
+	c := m.fs.Counters()
+	s := EngineStats{
+		BackendIOs:       c.BackendIOs,
+		IOBytes:          c.IOBytes,
+		WriteRuns:        c.WriteRuns,
+		ReadRuns:         c.ReadRuns,
+		Prefetches:       c.Prefetches,
+		LogicalBytes:     c.LogicalBytes,
+		StoredBytes:      c.StoredBytes,
+		CompressedBlocks: c.CompressedBlocks,
+		RawEscapes:       c.RawEscapes,
+	}
+	if s.BackendIOs > 0 {
+		s.BytesPerIO = float64(s.IOBytes) / float64(s.BackendIOs)
+	}
+	s.SlabHits, s.SlabMisses = m.fs.SlabStats()
+	for _, rs := range m.retries.snapshot() {
+		st := rs.Stats()
+		s.RetryAttempts += st.Retries
+		s.RetriesExhausted += st.Exhausted
 	}
 	iw := m.fs.IOWindowStats()
 	s.IOWindow, s.IOInFlight, s.IOPeakInFlight = iw.Window, iw.InFlight, iw.Peak
@@ -941,7 +931,8 @@ func (m *Mount) Latency() []LatencySlice {
 	return out
 }
 
-// ResetLatency zeroes the latency accumulators.
+// ResetLatency zeroes the latency accumulators; the counters of
+// EngineStats and the other stats getters are not touched.
 func (m *Mount) ResetLatency() {
 	if m.rec != nil {
 		m.rec.Reset()
@@ -1326,11 +1317,7 @@ func (m *Mount) StartRebalance(ctx context.Context, newStores ...Storage) (*Reba
 	if err != nil {
 		return nil, err
 	}
-	hooks := shard.MigrateHooks{
-		Recorder:   m.rec,
-		Invalidate: m.fs.InvalidateFile,
-	}
-	if err := m.shard.BeginMigration(ctx, internal, hooks); err != nil {
+	if err := m.shard.BeginMigration(ctx, internal, shard.MigrateHooks{Invalidate: m.fs.InvalidateFile}); err != nil {
 		return nil, err
 	}
 	// The union of both epochs absorbs commit traffic while the

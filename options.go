@@ -47,8 +47,8 @@ func WithIntegrity(level Integrity) Option {
 	return func(o *Options) { o.Integrity = level }
 }
 
-// WithLatencyCollection enables the Figure 9 latency-breakdown
-// instrumentation (Mount.Latency, Mount.EngineStats).
+// WithLatencyCollection enables the Figure 9 latency-breakdown timing
+// (Mount.Latency).
 func WithLatencyCollection() Option {
 	return func(o *Options) { o.CollectLatency = true }
 }

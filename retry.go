@@ -20,7 +20,6 @@ import (
 	"time"
 
 	"lamassu/internal/backend"
-	"lamassu/internal/metrics"
 )
 
 // RetryPolicy tunes the retrying store wrapper enabled by WithRetry.
@@ -40,20 +39,7 @@ type RetryPolicy struct {
 	Seed uint64
 }
 
-// backendPolicy lowers the public policy onto the backend layer,
-// wiring the retry counters into the mount's recorder (nil-safe: the
-// callbacks are no-ops without Options.CollectLatency).
-func (p RetryPolicy) backendPolicy(rec *metrics.Recorder) backend.RetryPolicy {
-	return backend.RetryPolicy{
-		MaxAttempts: p.MaxAttempts,
-		BaseDelay:   p.BaseDelay,
-		MaxDelay:    p.MaxDelay,
-		Seed:        p.Seed,
-		OnRetry: func(op string, attempt int, err error) {
-			rec.CountEvent(metrics.RetryAttempt, 1)
-		},
-		OnExhausted: func(op string, attempts int, err error) {
-			rec.CountEvent(metrics.RetryExhausted, 1)
-		},
-	}
+// backendPolicy lowers the public policy onto the backend layer.
+func (p RetryPolicy) backendPolicy() backend.RetryPolicy {
+	return backend.RetryPolicy{MaxAttempts: p.MaxAttempts, BaseDelay: p.BaseDelay, MaxDelay: p.MaxDelay, Seed: p.Seed}
 }
